@@ -6,9 +6,10 @@
 //! * `full_grid` — the complete 5×12-cell sweep plus baselines, exactly
 //!   the code `bsld-repro fig3|fig4|fig5` executes.
 
-use bsld_bench::{bench_opts, run_policy, workload, BENCH_JOBS};
+use bsld_bench::{bench_opts, run_metrics, scenario, workload};
 use bsld_core::experiments::grid;
-use bsld_core::{PowerAwareConfig, WqThreshold};
+use bsld_core::scenario::{PolicySpec, ProfileName};
+use bsld_core::WqThreshold;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -18,30 +19,38 @@ fn bench(c: &mut Criterion) {
 
     // Representative cells: the paper's most conservative and most
     // aggressive parameter pairs on a mid-load and the saturated workload.
-    for (wl, bt, wq, label) in [
+    for (profile, th, wq, label) in [
         (
-            "SDSCBlue",
+            ProfileName::SdscBlue,
             1.5,
             WqThreshold::Limit(0),
             "cell/SDSCBlue_1.5_0",
         ),
-        ("SDSCBlue", 3.0, WqThreshold::NoLimit, "cell/SDSCBlue_3_NO"),
-        ("SDSC", 2.0, WqThreshold::Limit(16), "cell/SDSC_2_16"),
         (
-            "LLNLThunder",
+            ProfileName::SdscBlue,
+            3.0,
+            WqThreshold::NoLimit,
+            "cell/SDSCBlue_3_NO",
+        ),
+        (
+            ProfileName::Sdsc,
+            2.0,
+            WqThreshold::Limit(16),
+            "cell/SDSC_2_16",
+        ),
+        (
+            ProfileName::LlnlThunder,
             2.0,
             WqThreshold::NoLimit,
             "cell/LLNLThunder_2_NO",
         ),
     ] {
-        let w = workload(wl, BENCH_JOBS);
-        let cfg = PowerAwareConfig {
-            bsld_threshold: bt,
-            wq_threshold: wq,
-        };
+        let mut sc = scenario(profile);
+        sc.policy = PolicySpec::BsldThreshold { th, wq };
+        let w = workload(&sc);
         g.bench_function(label, |b| {
             b.iter(|| {
-                let m = run_policy(black_box(&w), &cfg, 0);
+                let m = run_metrics(&sc, black_box(&w));
                 black_box((m.reduced_jobs, m.avg_bsld, m.energy.computational))
             })
         });

@@ -4,9 +4,10 @@
 //! is the complete 5-workload × 7-size × 2-WQ study behind all three
 //! figures and Table 3.
 
-use bsld_bench::{bench_opts, run_policy, workload, BENCH_JOBS};
+use bsld_bench::{bench_opts, run_metrics, scenario, workload};
 use bsld_core::experiments::enlarged;
-use bsld_core::{PowerAwareConfig, WqThreshold};
+use bsld_core::scenario::{PolicySpec, ProfileName};
+use bsld_core::WqThreshold;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -18,14 +19,16 @@ fn bench(c: &mut Criterion) {
         (20u32, "cell/SDSCBlue_+20%_WQ0"),
         (125, "cell/SDSCBlue_+125%_WQ0"),
     ] {
-        let w = workload("SDSCBlue", BENCH_JOBS);
-        let cfg = PowerAwareConfig {
-            bsld_threshold: 2.0,
-            wq_threshold: WqThreshold::Limit(0),
+        let mut sc = scenario(ProfileName::SdscBlue);
+        sc.policy = PolicySpec::BsldThreshold {
+            th: 2.0,
+            wq: WqThreshold::Limit(0),
         };
+        sc.cluster.enlarge_pct = pct;
+        let w = workload(&sc);
         g.bench_function(label, |b| {
             b.iter(|| {
-                let m = run_policy(black_box(&w), &cfg, pct);
+                let m = run_metrics(&sc, black_box(&w));
                 black_box((m.avg_bsld, m.energy.with_idle))
             })
         });

@@ -14,8 +14,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use bsld_core::scenario::{ProfileName, Scenario, WorkloadSpec};
-use bsld_obs::{render_chrome_trace, BufferSink, NullSink, TraceSink};
+use bsld_core::scenario::{ProfileName, RunCtx, Scenario, WorkloadSpec};
+use bsld_obs::{render_chrome_trace, BufferSink, NullSink};
 use bsld_swf::generate_swf;
 
 /// Writes the deterministic synthetic trace `gen-swf` would produce.
@@ -34,18 +34,24 @@ fn bench_obs(c: &mut Criterion) {
     let mut g = c.benchmark_group("obs_sim");
     g.sample_size(10);
     g.bench_function("untraced_2k", |b| {
-        b.iter(|| sc.run().expect("run").run.metrics.jobs)
+        b.iter(|| sc.run(&RunCtx::default()).expect("run").run.metrics.jobs)
     });
     g.bench_function("null_sink_2k", |b| {
         b.iter(|| {
-            let sink: Arc<dyn TraceSink> = Arc::new(NullSink);
-            sc.run_with_sink(sink).expect("run").run.metrics.jobs
+            let ctx = RunCtx {
+                sink: Some(Arc::new(NullSink)),
+                ..RunCtx::default()
+            };
+            sc.run(&ctx).expect("run").run.metrics.jobs
         })
     });
     g.bench_function("buffer_sink_2k", |b| {
         b.iter(|| {
-            let sink = BufferSink::shared();
-            sc.run_with_sink(sink).expect("run").run.metrics.jobs
+            let ctx = RunCtx {
+                sink: Some(BufferSink::shared()),
+                ..RunCtx::default()
+            };
+            sc.run(&ctx).expect("run").run.metrics.jobs
         })
     });
     g.finish();
@@ -68,7 +74,11 @@ fn bench_obs(c: &mut Criterion) {
 
     // Render throughput on one real captured run.
     let sink = BufferSink::shared();
-    sc.run_with_sink(sink.clone()).expect("run");
+    let ctx = RunCtx {
+        sink: Some(sink.clone()),
+        ..RunCtx::default()
+    };
+    sc.run(&ctx).expect("run");
     let cells = vec![("obs-bench".to_string(), sink.take())];
     let mut g = c.benchmark_group("obs_render");
     g.sample_size(10);

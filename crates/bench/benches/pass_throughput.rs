@@ -16,6 +16,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
+use bsld_core::scenario::{ProfileName, Scenario};
 use bsld_core::Simulator;
 use bsld_model::Job;
 use bsld_simkernel::Time;
@@ -73,15 +74,26 @@ fn swf_replay_jobs(n: u32) -> Vec<Job> {
     Workload::from_swf("pass-throughput", &parsed).jobs
 }
 
+/// The no-DVFS EASY baseline. [`Scenario::run_prepared`] takes the jobs
+/// and the simulator from this bench; the spec's workload is never built.
+fn baseline() -> Scenario {
+    Scenario::synthetic("pass-throughput", ProfileName::Ctc, 0, 0)
+}
+
+/// The incremental engine and its full re-scan oracle for a machine.
+fn simulators(name: &str) -> (Simulator, Simulator) {
+    let incr = Simulator::paper_default(name, CPUS);
+    let mut full = incr.clone();
+    full.engine.incremental = false;
+    (incr, full)
+}
+
 /// One-time acceptance gate + counter report for a workload.
 fn verify(name: &str, jobs: &[Job]) {
-    let sim = Simulator::paper_default(name, CPUS);
-    let incr = sim.run_baseline(jobs).expect("fits");
-    let full = sim
-        .clone()
-        .with_full_rescan()
-        .run_baseline(jobs)
-        .expect("fits");
+    let sc = baseline();
+    let (incr, full) = simulators(name);
+    let incr = sc.run_prepared(&incr, jobs).expect("fits").run;
+    let full = sc.run_prepared(&full, jobs).expect("fits").run;
     assert_eq!(
         incr.outcomes, full.outcomes,
         "{name}: incremental outcomes diverged from the full re-scan oracle"
@@ -112,14 +124,14 @@ fn bench_pass_throughput(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("pass_throughput");
     g.sample_size(10);
+    let sc = baseline();
     for (name, jobs) in [("synthetic_10k", &synthetic), ("swf_replay_10k", &replay)] {
-        let incr = Simulator::paper_default(name, CPUS);
-        let full = incr.clone().with_full_rescan();
+        let (incr, full) = simulators(name);
         g.bench_function(format!("{name}/incremental"), |b| {
-            b.iter(|| incr.run_baseline(jobs).expect("fits").metrics)
+            b.iter(|| sc.run_prepared(&incr, jobs).expect("fits").run.metrics)
         });
         g.bench_function(format!("{name}/full_rescan"), |b| {
-            b.iter(|| full.run_baseline(jobs).expect("fits").metrics)
+            b.iter(|| sc.run_prepared(&full, jobs).expect("fits").run.metrics)
         });
     }
     g.finish();

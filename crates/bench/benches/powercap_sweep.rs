@@ -6,39 +6,38 @@
 //! hard cap with DVFS (the cap-sweep experiment's cell kernel). Run with
 //! `cargo bench -p bsld-bench --bench powercap_sweep`.
 
-use bsld_bench::{workload, BENCH_JOBS};
-use bsld_core::{PowerAwareConfig, PowerCapConfig, Simulator, WqThreshold};
-use bsld_powercap::SleepConfig;
+use bsld_bench::{scenario, workload};
+use bsld_core::scenario::{PolicySpec, ProfileName, SleepSpec};
+use bsld_core::WqThreshold;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("powercap");
     g.sample_size(10);
-    let w = workload("SDSCBlue", BENCH_JOBS);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
+    let mut observe = scenario(ProfileName::SdscBlue);
+    observe.power.observe = true;
+    let w = workload(&observe);
+    let sim = observe.simulator(&w).expect("simulator builds");
+    let mut sleep = observe.clone();
+    sleep.power.sleep = SleepSpec::Paper;
+    let mut capped = sleep.clone();
+    capped.power.cap_fraction = Some(0.6);
+    capped.policy = PolicySpec::BsldThreshold {
+        th: 2.0,
+        wq: WqThreshold::NoLimit,
+    };
 
-    let cases: [(&str, PowerCapConfig); 3] = [
-        ("observe_only", PowerCapConfig::observe_only()),
-        (
-            "sleep_states",
-            PowerCapConfig::observe_only().with_sleep(SleepConfig::paper_default()),
-        ),
-        (
-            "hard_cap_dvfs",
-            PowerCapConfig::hard(0.6)
-                .with_sleep(SleepConfig::paper_default())
-                .with_policy(PowerAwareConfig {
-                    bsld_threshold: 2.0,
-                    wq_threshold: WqThreshold::NoLimit,
-                }),
-        ),
-    ];
-    for (name, cfg) in cases {
+    for (name, sc) in [
+        ("observe_only", observe),
+        ("sleep_states", sleep),
+        ("hard_cap_dvfs", capped),
+    ] {
         g.bench_function(name, |b| {
             b.iter(|| {
-                let r = sim.run_power_capped(black_box(&w.jobs), &cfg).unwrap();
-                black_box((r.power.energy, r.run.metrics.avg_bsld))
+                let r = sc.run_prepared(&sim, black_box(&w.jobs)).unwrap();
+                let power = r.power.expect("observed runs report power");
+                black_box((power.energy, r.run.metrics.avg_bsld))
             })
         });
     }

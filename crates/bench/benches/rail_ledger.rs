@@ -8,9 +8,9 @@
 //! with the three-rail machine so the rail overhead is also measured in
 //! situ. Run with `cargo bench -p bsld-bench --bench rail_ledger`.
 
-use bsld_bench::{workload, BENCH_JOBS};
+use bsld_bench::{scenario, workload};
 use bsld_cluster::GearSet;
-use bsld_core::{PowerCapConfig, Simulator};
+use bsld_core::scenario::ProfileName;
 use bsld_model::GearId;
 use bsld_power::{Constant, Cubic, Linear, PaperDvfs, PowerModel, Rail, RailKind, RailSet};
 use bsld_powercap::PowerLedger;
@@ -111,14 +111,16 @@ fn bench(c: &mut Criterion) {
     }
 
     // The in-situ cost: a full observed run on the three-rail machine.
-    let w = workload("SDSCBlue", BENCH_JOBS);
-    let mut sim = Simulator::paper_default(&w.cluster_name, w.cpus);
+    let mut sc = scenario(ProfileName::SdscBlue);
+    sc.power.observe = true;
+    let w = workload(&sc);
+    let mut sim = sc.simulator(&w).expect("simulator builds");
     sim.power = three_rail(Box::new(PaperDvfs::paper(gears.clone())));
-    let cfg = PowerCapConfig::observe_only();
     g.bench_function("observe_three_rails", |b| {
         b.iter(|| {
-            let r = sim.run_power_capped(black_box(&w.jobs), &cfg).unwrap();
-            black_box((r.power.energy, r.power.rails.len()))
+            let r = sc.run_prepared(&sim, black_box(&w.jobs)).unwrap();
+            let power = r.power.expect("observed runs report power");
+            black_box((power.energy, power.rails.len()))
         })
     });
     g.finish();

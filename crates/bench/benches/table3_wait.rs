@@ -4,18 +4,20 @@
 //! original no-DVFS, original DVFS at WQ ∈ {0, NO}, and +50 % DVFS at the
 //! same settings.
 
-use bsld_bench::{run_baseline, run_policy, workload, BENCH_JOBS};
-use bsld_core::{PowerAwareConfig, WqThreshold};
+use bsld_bench::{run_metrics, scenario, workload};
+use bsld_core::scenario::{PolicySpec, ProfileName};
+use bsld_core::WqThreshold;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("table3");
     g.sample_size(10);
-    let w = workload("SDSCBlue", BENCH_JOBS);
+    let base = scenario(ProfileName::SdscBlue);
+    let w = workload(&base);
 
     g.bench_function("orig_no_dvfs", |b| {
-        b.iter(|| black_box(run_baseline(black_box(&w)).avg_wait_secs))
+        b.iter(|| black_box(run_metrics(&base, black_box(&w)).avg_wait_secs))
     });
     for (wq, pct, label) in [
         (WqThreshold::Limit(0), 0u32, "orig_wq0"),
@@ -23,12 +25,11 @@ fn bench(c: &mut Criterion) {
         (WqThreshold::Limit(0), 50, "inc50_wq0"),
         (WqThreshold::NoLimit, 50, "inc50_wqno"),
     ] {
-        let cfg = PowerAwareConfig {
-            bsld_threshold: 2.0,
-            wq_threshold: wq,
-        };
+        let mut sc = base.clone();
+        sc.policy = PolicySpec::BsldThreshold { th: 2.0, wq };
+        sc.cluster.enlarge_pct = pct;
         g.bench_function(label, |b| {
-            b.iter(|| black_box(run_policy(black_box(&w), &cfg, pct).avg_wait_secs))
+            b.iter(|| black_box(run_metrics(&sc, black_box(&w)).avg_wait_secs))
         });
     }
     g.finish();

@@ -8,9 +8,8 @@
 #![forbid(unsafe_code)]
 
 use bsld_core::experiments::ExpOptions;
-use bsld_core::{PowerAwareConfig, Simulator};
+use bsld_core::scenario::{ProfileName, Scenario};
 use bsld_metrics::RunMetrics;
-use bsld_workload::profiles::TraceProfile;
 use bsld_workload::Workload;
 
 /// The standard reduced scale for benches.
@@ -24,34 +23,20 @@ pub fn bench_opts() -> ExpOptions {
     }
 }
 
-/// Generates the benchmark workload for a named profile.
-pub fn workload(name: &str, jobs: usize) -> Workload {
-    let profile = match name {
-        "CTC" => TraceProfile::ctc(),
-        "SDSC" => TraceProfile::sdsc(),
-        "SDSCBlue" => TraceProfile::sdsc_blue(),
-        "LLNLThunder" => TraceProfile::llnl_thunder(),
-        "LLNLAtlas" => TraceProfile::llnl_atlas(),
-        other => panic!("unknown workload {other}"),
-    };
-    profile.generate(2010, jobs)
+/// The benchmark scenario for a calibrated profile: [`BENCH_JOBS`] jobs
+/// generated at seed 2010, baseline policy, original machine size.
+pub fn scenario(profile: ProfileName) -> Scenario {
+    Scenario::synthetic(profile.display_name(), profile, BENCH_JOBS, 2010)
 }
 
-/// Runs the no-DVFS baseline on a workload.
-pub fn run_baseline(w: &Workload) -> RunMetrics {
-    Simulator::paper_default(&w.cluster_name, w.cpus)
-        .run_baseline(&w.jobs)
-        .expect("fits")
-        .metrics
+/// Generates the scenario's workload once, outside the timed loop.
+pub fn workload(sc: &Scenario) -> Workload {
+    sc.build_workload().expect("synthetic workloads build")
 }
 
-/// Runs the power-aware policy on a workload.
-pub fn run_policy(w: &Workload, cfg: &PowerAwareConfig, enlarged_pct: u32) -> RunMetrics {
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let sim = if enlarged_pct > 0 {
-        sim.enlarged(enlarged_pct)
-    } else {
-        sim
-    };
-    sim.run_power_aware(&w.jobs, cfg).expect("fits").metrics
+/// Runs `sc` over its pre-generated workload `w` (simulator build plus
+/// [`Scenario::run_prepared`]) and returns the run's metrics.
+pub fn run_metrics(sc: &Scenario, w: &Workload) -> RunMetrics {
+    let sim = sc.simulator(w).expect("simulator builds");
+    sc.run_prepared(&sim, &w.jobs).expect("fits").run.metrics
 }

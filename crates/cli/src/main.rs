@@ -91,9 +91,6 @@ fn usage() -> String {
          \x20          (fig3/fig4/fig5/all also take --trace-out PATH: write the\n\
          \x20          deterministic per-cell Chrome trace of the grid sweep)\n\
          run:       run FILE.scn [--jobs N] [--seed S] [--threads T] [--out DIR] [--no-csv] [--resume DIR]\n\
-         \x20          [--swf-in-memory]\n\
-         \x20          (--swf-in-memory replays SWF workloads through the legacy\n\
-         \x20          in-memory load path — the streaming path's A/B oracle)\n\
          \x20          (files with `replications = N`, `cell_budget_s`, or --resume run as a\n\
          \x20          campaign: per-cell mean ± 95% CI, incremental manifest, cached cells\n\
          \x20          skipped, campaign.json report)\n\
@@ -108,7 +105,6 @@ fn usage() -> String {
          \x20          (deterministic synthetic SWF writer for scale testing: N jobs on a\n\
          \x20          P-processor machine at ~0.7 offered load, cleaning-invariant)\n\
          simulate:  [--workload W | --swf FILE] [--bsld-th X] [--wq N|no] [--conservative] [--boost N] [--export PREFIX]\n\
-         \x20          [--swf-in-memory]\n\
          audit:     audit [--json] [--root DIR]\n\
          \x20          (static determinism/numeric-safety audit of the workspace source;\n\
          \x20          exit 1 on violations — see crates/audit)\n\
@@ -169,9 +165,6 @@ struct Args {
     positional2: Option<String>,
     /// `gen-swf --max-procs P`: machine size of the synthetic trace.
     max_procs: Option<u32>,
-    /// `--swf-in-memory`: replay SWF workloads via the legacy in-memory
-    /// load path (the streaming path's A/B oracle).
-    swf_in_memory: bool,
 }
 
 /// `Ok(true)`: `--help` was requested (print usage, exit 0).
@@ -199,7 +192,6 @@ fn parse_args() -> Result<(Args, bool), String> {
     let mut sets = Vec::new();
     let mut positional2 = None;
     let mut max_procs = None;
-    let mut swf_in_memory = false;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -281,7 +273,6 @@ fn parse_args() -> Result<(Args, bool), String> {
                         .map_err(|_| format!("bad --max-procs value: {v}"))?,
                 );
             }
-            "--swf-in-memory" => swf_in_memory = true,
             "--set" => {
                 let v = it.next().ok_or("--set needs key=value")?;
                 if !v.contains('=') {
@@ -343,7 +334,6 @@ fn parse_args() -> Result<(Args, bool), String> {
                 sets,
                 positional2,
                 max_procs,
-                swf_in_memory,
             },
             true,
         ));
@@ -398,12 +388,6 @@ fn parse_args() -> Result<(Args, bool), String> {
             usage()
         ));
     }
-    if swf_in_memory && !matches!(experiment.as_str(), "run" | "simulate") {
-        return Err(format!(
-            "--swf-in-memory only applies to the run and simulate subcommands\n{}",
-            usage()
-        ));
-    }
     Ok((
         Args {
             experiment,
@@ -428,7 +412,6 @@ fn parse_args() -> Result<(Args, bool), String> {
             sets,
             positional2,
             max_procs,
-            swf_in_memory,
         },
         false,
     ))
@@ -1204,10 +1187,6 @@ fn main() -> ExitCode {
     if help {
         println!("{}", usage());
         return ExitCode::SUCCESS;
-    }
-    if args.swf_in_memory {
-        bsld_core::set_swf_in_memory(true);
-        eprintln!("# swf: legacy in-memory load path forced (--swf-in-memory)");
     }
     let opts = &args.opts;
     eprintln!(

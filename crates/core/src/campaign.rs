@@ -55,7 +55,7 @@ use bsld_par::Progress;
 use bsld_simkernel::rng::derive_seed;
 use bsld_simkernel::stats::OnlineStats;
 
-use crate::scenario::{Scenario, ScenarioError, ScenarioResult, ScenarioSet, WorkloadSpec};
+use crate::scenario::{RunCtx, Scenario, ScenarioError, ScenarioResult, ScenarioSet, WorkloadSpec};
 
 /// File name of the per-replication manifest inside the campaign
 /// directory.
@@ -249,31 +249,29 @@ impl Campaign {
     }
 
     fn execute_unit_untimed(&self, cell: &CampaignCell, unit: &CampaignUnit) -> RepRow {
-        let (res, phases) = match self.cell_budget_s {
-            None => unit.scenario.run_phased_with_abort(None),
+        let run = |abort: Option<&bsld_par::AbortFlag>| {
+            let ctx = RunCtx {
+                abort: abort.cloned(),
+                ..RunCtx::default()
+            };
+            (unit.scenario.run(&ctx), ctx.phases.get())
+        };
+        // `exhausted` carries the budget when the deadline fired.
+        let ((res, phases), exhausted) = match self.cell_budget_s {
+            None => (run(None), None),
             Some(budget) => {
-                let ((res, phases), exhausted) = bsld_par::run_budgeted(budget, |flag| {
-                    unit.scenario.run_phased_with_abort(Some(flag))
-                });
-                match res {
-                    // Trust a completed result over a raced deadline; only
-                    // an *aborted* run is attributed to the budget.
-                    Err(ScenarioError::Sim(bsld_sched::SimError::Aborted)) if exhausted => {
-                        let mut row = RepRow::from_failure(
-                            cell,
-                            unit,
-                            format!("exceeded cell_budget_s = {budget}"),
-                        );
-                        row.set_phases(phases);
-                        return row;
-                    }
-                    other => (other, phases),
-                }
+                let (out, exhausted) = bsld_par::run_budgeted(budget, |flag| run(Some(flag)));
+                (out, exhausted.then_some(budget))
             }
         };
-        let mut row = match res {
-            Ok(res) => RepRow::from_result(cell, unit, &res),
-            Err(e) => RepRow::from_failure(cell, unit, e.to_string()),
+        let mut row = match (res, exhausted) {
+            (Ok(res), _) => RepRow::from_result(cell, unit, &res),
+            // Trust a completed result over a raced deadline; only an
+            // *aborted* run is attributed to the budget.
+            (Err(ScenarioError::Sim(bsld_sched::SimError::Aborted)), Some(budget)) => {
+                RepRow::from_failure(cell, unit, format!("exceeded cell_budget_s = {budget}"))
+            }
+            (Err(e), _) => RepRow::from_failure(cell, unit, e.to_string()),
         };
         row.set_phases(phases);
         row

@@ -111,7 +111,8 @@ pub(crate) fn run_cell(
     size_increase_pct: u32,
     cfg: Option<&PowerAwareConfig>,
 ) -> RunMetrics {
-    expect_run(cell_scenario(profile, opts, size_increase_pct, cfg).run())
+    let sc = cell_scenario(profile, opts, size_increase_pct, cfg);
+    expect_run(sc.run(&crate::scenario::RunCtx::default()))
         .run
         .metrics
 }

@@ -106,17 +106,15 @@ pub fn run(opts: &ExpOptions) -> CapSweep {
     for ((p, cell), res) in tasks.into_iter().zip(results) {
         // audit:allow(R1): swept cap fractions are chosen feasible for generated workloads
         let res = res.expect("cap fractions in the sweep are feasible for generated workloads");
-        let r = crate::sim::PowerCappedResult {
-            run: res.run,
-            // audit:allow(R1): observe=true forces power instrumentation on this path
-            power: res.power.expect("instrumented cells report power"),
-        };
+        // audit:allow(R1): observe=true forces power instrumentation on this path
+        let power = res.power.expect("instrumented cells report power");
+        let run = res.run;
         let name = p.display_name().to_string();
         match cell {
             None => baselines.push(CapBaseline {
                 workload: name,
-                energy: r.power.energy,
-                avg_bsld: r.run.metrics.avg_bsld,
+                energy: power.energy,
+                avg_bsld: run.metrics.avg_bsld,
             }),
             Some((cap, th)) => {
                 let base = baselines
@@ -125,18 +123,18 @@ pub fn run(opts: &ExpOptions) -> CapSweep {
                     // audit:allow(R1): scenario list interleaves each baseline before its cells
                     .expect("baseline precedes cells");
                 // audit:allow(R1): capped cells always carry a budget by construction
-                let budget = r.power.budget.expect("capped cells have a budget");
+                let budget = power.budget.expect("capped cells have a budget");
                 cells.push(CapCell {
                     workload: name,
                     cap_fraction: cap,
                     bsld_threshold: th,
-                    norm_energy: r.power.energy / base.energy,
-                    avg_bsld: r.run.metrics.avg_bsld,
-                    peak_over_budget: r.power.peak / budget,
-                    deferrals: r.power.cap.deferrals,
-                    downgears: r.power.cap.downgears,
-                    wakes: r.power.sleep.wakes,
-                    makespan_s: r.run.metrics.makespan_secs,
+                    norm_energy: power.energy / base.energy,
+                    avg_bsld: run.metrics.avg_bsld,
+                    peak_over_budget: power.peak / budget,
+                    deferrals: power.cap.deferrals,
+                    downgears: power.cap.downgears,
+                    wakes: power.sleep.wakes,
+                    makespan_s: run.metrics.makespan_secs,
                 });
             }
         }

@@ -7,12 +7,14 @@
 //!   `bsld-sched` policy hook: a job is scheduled at the lowest gear whose
 //!   *predicted BSLD* stays under `BSLD_threshold`, and only while no more
 //!   than `WQ_threshold` jobs are waiting;
-//! * [`Simulator`] — a one-stop facade wiring cluster, power model, β time
-//!   model and scheduling engine; used by every example, test and
-//!   experiment;
-//! * [`scenario`] — the declarative layer on top: a serializable
-//!   [`Scenario`] spec with one `run()`, plus [`ScenarioSet`] sweeps; the
-//!   experiment harness and the CLI construct every run through it;
+//! * [`scenario`] — the declarative run API: a serializable [`Scenario`]
+//!   spec, plus [`ScenarioSet`] sweeps. There is one way to run a
+//!   scenario: [`Scenario::run`] with a [`RunCtx`] (abort flag, trace sink,
+//!   phase timings; [`RunCtx::default`] attaches nothing), over the one
+//!   kernel [`Scenario::run_prepared`]. The experiment harness, the
+//!   campaign, the CLI and the serve daemon all run through it;
+//! * [`Simulator`] — the wiring a run needs: cluster, power rails, β time
+//!   model and engine options, built by [`Scenario::simulator`];
 //! * [`campaign`] — replicated sweeps with per-cell mean ± 95 % CI,
 //!   content-hash cell IDs, an incremental result manifest, per-unit
 //!   wall-time budgets and resume;
@@ -44,5 +46,5 @@ pub use campaign::{run_campaign, Campaign, CampaignOptions, CampaignOutcome, Cel
 pub use distrib::{merge_campaign, run_worker, MergeOutcome, Shard, WorkerOutcome};
 pub use policy::{BsldThresholdPolicy, PowerAwareConfig, WqThreshold};
 pub use report::{sweep_report, CellOutcome, SweepReport};
-pub use scenario::{set_swf_in_memory, swf_in_memory, Scenario, ScenarioResult, ScenarioSet};
-pub use sim::{PowerCapConfig, PowerCappedResult, RunResult, Simulator};
+pub use scenario::{RunCtx, Scenario, ScenarioResult, ScenarioSet};
+pub use sim::{RunResult, Simulator};

@@ -2,8 +2,7 @@
 //! serializable experiment files.
 //!
 //! The paper's evaluation is a matrix of scenarios — workload × policy ×
-//! power regime × machine size — and every experiment used to re-wire the
-//! [`Simulator`] by hand. A [`Scenario`] instead *describes* a run as plain
+//! power regime × machine size. A [`Scenario`] *describes* a run as plain
 //! data, composed of typed sub-specs:
 //!
 //! * [`WorkloadSpec`] — a calibrated synthetic [`ProfileName`] (jobs, seed,
@@ -17,9 +16,15 @@
 //!   incremental vs full-rescan engine, tracing;
 //! * [`OutputSpec`] — artifact directory.
 //!
-//! [`Scenario::run`] executes the spec end to end and returns a unified
-//! [`ScenarioResult`] (metrics + outcomes, plus the power report when the
-//! run was power-instrumented). Scenarios serialize to a line-oriented
+//! There is one way to run a scenario. [`Scenario::run`] executes the spec
+//! end to end and returns a unified [`ScenarioResult`] (metrics + outcomes,
+//! plus the power report when the run was power-instrumented). Its
+//! [`RunCtx`] attaches what a caller needs beyond the spec: an abort flag,
+//! a trace sink and a slot for the wall-clock phase timings;
+//! [`RunCtx::default`] attaches nothing. Callers that already hold the jobs
+//! and a [`Simulator`] (the serve daemon's resident workloads, hand-built
+//! test workloads) call the kernel [`Scenario::run_prepared`] directly;
+//! [`Scenario::run`] ends there too. Scenarios serialize to a line-oriented
 //! `key = value` text format ([`Scenario::render`] / [`Scenario::parse`]),
 //! so experiment files are first-class artifacts, and a [`ScenarioSet`]
 //! adds sweep axes that expand into a scenario grid run in parallel
@@ -57,7 +62,7 @@
 //! # Example: SWF replay under a power cap
 //!
 //! ```
-//! use bsld_core::scenario::{PolicySpec, Scenario, SleepSpec, WorkloadSpec};
+//! use bsld_core::scenario::{PolicySpec, RunCtx, Scenario, SleepSpec, WorkloadSpec};
 //! use bsld_core::WqThreshold;
 //! use bsld_workload::profiles::TraceProfile;
 //!
@@ -73,22 +78,28 @@
 //! sc.power.cap_fraction = Some(0.7);
 //! sc.power.sleep = SleepSpec::Paper;
 //!
-//! let res = sc.run().unwrap();
+//! let res = sc.run(&RunCtx::default()).unwrap();
 //! let power = res.power.expect("capped runs carry a power report");
 //! assert!(power.peak <= power.budget.unwrap() + 1e-9);
 //! std::fs::remove_file(&swf).ok();
 //! ```
 
+use std::cell::Cell;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use bsld_cluster::{Cluster, Gear, GearSet, SelectionPolicy};
+use bsld_metrics::RunMetrics;
 use bsld_model::{GearId, Job};
 use bsld_power::{
     Constant, Cubic, Empirical, Linear, PaperDvfs, PowerModel, Rail, RailKind, RailSet,
 };
-use bsld_powercap::{PowerReport, SleepConfig, SleepState};
-use bsld_sched::{BoostConfig, FixedGearPolicy, SchedMode, SimError};
+use bsld_powercap::{PowerCap, PowerCapPolicy, PowerReport, SleepConfig, SleepState};
+use bsld_sched::{
+    simulate, simulate_with_hook, BoostConfig, FixedGearPolicy, FrequencyPolicy, SchedMode,
+    SimError,
+};
 use bsld_workload::profiles::{BetaSpec, TraceProfile};
 use bsld_workload::Workload;
 
@@ -197,29 +208,6 @@ pub enum WorkloadSpec {
     },
 }
 
-/// A/B oracle hook: when raised, [`WorkloadSpec::build_with_abort`] loads
-/// SWF traces through the original in-memory path (`read_to_string` →
-/// parse → clean) instead of the streaming path. The two are bit-identical
-/// — `tests/streaming_ab.rs` and the CI large-trace byte-diff prove it —
-/// and this toggle exists precisely so that proof can keep running
-/// end-to-end through the CLI. Not a [`WorkloadSpec`] field: the spec's
-/// `Debug` form keys the serve daemon's workload cache, and a mere replay
-/// mechanism must never produce a distinct cache identity.
-static SWF_IN_MEMORY: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Forces (or restores) the in-memory SWF load path for every subsequent
-/// [`WorkloadSpec::build_with_abort`] in this process. See
-/// [`swf_in_memory`].
-pub fn set_swf_in_memory(enabled: bool) {
-    SWF_IN_MEMORY.store(enabled, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Whether the in-memory SWF load path is currently forced (A/B oracle
-/// hook; the streaming path is the default).
-pub fn swf_in_memory() -> bool {
-    SWF_IN_MEMORY.load(std::sync::atomic::Ordering::SeqCst)
-}
-
 impl WorkloadSpec {
     /// Materialises the jobs (generation or trace replay).
     pub fn build(&self) -> Result<Workload, ScenarioError> {
@@ -259,11 +247,7 @@ impl WorkloadSpec {
                 if abort.is_some_and(|f| f.load(std::sync::atomic::Ordering::SeqCst)) {
                     return Err(ScenarioError::Sim(bsld_sched::SimError::Aborted));
                 }
-                let trace = if swf_in_memory() {
-                    Self::load_swf_in_memory(path, *clean, abort)?
-                } else {
-                    Self::load_swf_streaming(path, *clean, abort)?
-                };
+                let trace = Self::load_swf_streaming(path, *clean, abort)?;
                 let name = path.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
                 Workload::from_swf_with_abort(name, &trace, abort)
                     .map_err(|_| ScenarioError::Sim(bsld_sched::SimError::Aborted))
@@ -305,31 +289,6 @@ impl WorkloadSpec {
         } else {
             stream.collect_trace().map_err(map_parse)
         }
-    }
-
-    /// The original `read_to_string` → parse → clean load path, kept as
-    /// the A/B oracle for the streaming one (see [`set_swf_in_memory`]).
-    /// Every error maps exactly as the streaming path maps it, so the two
-    /// are indistinguishable from the outside.
-    fn load_swf_in_memory(
-        path: &std::path::Path,
-        clean: bool,
-        abort: Option<&std::sync::atomic::AtomicBool>,
-    ) -> Result<bsld_swf::SwfTrace, ScenarioError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| ScenarioError::Io(format!("cannot read {}: {e}", path.display())))?;
-        let mut trace = bsld_swf::parse_swf_with_abort(&text, abort).map_err(|e| {
-            if e.kind == bsld_swf::ParseErrorKind::Aborted {
-                ScenarioError::Sim(bsld_sched::SimError::Aborted)
-            } else {
-                ScenarioError::Workload(e.to_string())
-            }
-        })?;
-        if clean {
-            bsld_swf::clean_trace_with_abort(&mut trace, &bsld_swf::CleanConfig::default(), abort)
-                .map_err(|_| ScenarioError::Sim(bsld_sched::SimError::Aborted))?;
-        }
-        Ok(trace)
     }
 }
 
@@ -727,139 +686,142 @@ impl Scenario {
         Ok(sim)
     }
 
-    /// Runs the scenario end to end: build the workload, configure the
-    /// simulator, execute under the declared policy and power treatment.
-    pub fn run(&self) -> Result<ScenarioResult, ScenarioError> {
-        self.run_with_abort(None)
-    }
-
-    /// As [`Scenario::run`], but polls `abort` once per simulation event:
-    /// raising the flag makes the run return
-    /// [`bsld_sched::SimError::Aborted`] promptly instead of driving the
-    /// workload to completion. The campaign layer pairs this with
-    /// [`bsld_par::run_budgeted`] to enforce per-cell wall-time budgets
-    /// without killing threads.
-    pub fn run_with_abort(
-        &self,
-        abort: Option<&bsld_par::AbortFlag>,
-    ) -> Result<ScenarioResult, ScenarioError> {
-        // The workload build polls the same flag: an expired budget cancels
-        // a multi-million-line SWF parse, not just the event loop.
+    /// Runs the scenario end to end: builds the workload, configures the
+    /// simulator and executes it under the declared policy and power
+    /// treatment ([`Scenario::run_prepared`]). `ctx` attaches an abort
+    /// flag and a trace sink and receives the phase breakdown;
+    /// [`RunCtx::default`] attaches nothing.
+    pub fn run(&self, ctx: &RunCtx) -> Result<ScenarioResult, ScenarioError> {
+        let mut sw = bsld_obs::Stopwatch::start();
+        let mut phases = bsld_obs::PhaseSecs::default();
+        // The workload build polls the same flag as the event loop: an
+        // expired budget cancels a multi-million-line SWF parse, not just
+        // the simulation.
         let w = self
             .workload
-            .build_with_abort(abort.map(bsld_par::AbortFlag::as_atomic))?;
-        let mut sim = self.simulator(&w)?;
-        sim.engine.abort = abort.map(bsld_par::AbortFlag::handle);
-        self.run_prepared(&sim, &w.jobs)
-    }
-
-    /// As [`Scenario::run`], but records the run's deterministic trace
-    /// events into `sink` — the engine and its power hook share it, so
-    /// scheduler and sleep-ladder events interleave in sim-time order.
-    /// Attaching a sink changes nothing about the simulated outcome.
-    pub fn run_with_sink(
-        &self,
-        sink: std::sync::Arc<dyn bsld_obs::TraceSink>,
-    ) -> Result<ScenarioResult, ScenarioError> {
-        let w = self.workload.build()?;
-        let mut sim = self.simulator(&w)?;
-        sim.engine.sink = Some(sink);
-        self.run_prepared(&sim, &w.jobs)
-    }
-
-    /// As [`Scenario::run_with_abort`], with the wall-clock profiling
-    /// plane attached: returns the phase breakdown (workload parse/build,
-    /// simulator construction, event loop) alongside the result — also on
-    /// failure, so budget-expired rows still record where the time went.
-    /// The readings are provenance only (campaign-manifest columns); they
-    /// never feed the simulated outcome.
-    pub fn run_phased_with_abort(
-        &self,
-        abort: Option<&bsld_par::AbortFlag>,
-    ) -> (Result<ScenarioResult, ScenarioError>, bsld_obs::PhaseSecs) {
-        let mut phases = bsld_obs::PhaseSecs::default();
-        let mut sw = bsld_obs::Stopwatch::start();
-        let w = match self
-            .workload
-            .build_with_abort(abort.map(bsld_par::AbortFlag::as_atomic))
-        {
-            Ok(w) => w,
-            Err(e) => {
-                phases.parse_s = sw.lap_s();
-                return (Err(e), phases);
-            }
-        };
+            .build_with_abort(ctx.abort.as_ref().map(bsld_par::AbortFlag::as_atomic));
         phases.parse_s = sw.lap_s();
-        let mut sim = match self.simulator(&w) {
-            Ok(s) => s,
-            Err(e) => {
-                phases.build_s = sw.lap_s();
-                return (Err(e), phases);
-            }
-        };
-        sim.engine.abort = abort.map(bsld_par::AbortFlag::handle);
+        ctx.phases.set(phases);
+        let w = w?;
+        let sim = self.simulator(&w);
         phases.build_s = sw.lap_s();
+        ctx.phases.set(phases);
+        let mut sim = sim?;
+        sim.engine.abort = ctx.abort.as_ref().map(bsld_par::AbortFlag::handle);
+        sim.engine.sink = ctx.sink.clone();
         let res = self.run_prepared(&sim, &w.jobs);
         phases.sim_s = sw.lap_s();
-        (res, phases)
+        ctx.phases.set(phases);
+        res
     }
 
     /// Runs the scenario's policy and power treatment on an already-built
     /// simulator and job list (the workload spec is not consulted).
+    ///
+    /// This is the one execution kernel. It turns the [`PolicySpec`] into
+    /// the frequency policy and, when [`PowerSpec::instrumented`], the
+    /// [`PowerSpec`] into the power hook (ledger, sleep ladder and budget),
+    /// then drives the engine and computes the metrics. A hard budget that
+    /// is infeasible for the workload fails with [`SimError::Stalled`]
+    /// (as [`ScenarioError::Sim`]).
     pub fn run_prepared(
         &self,
         sim: &Simulator,
         jobs: &[Job],
     ) -> Result<ScenarioResult, ScenarioError> {
-        execute(sim, jobs, &self.policy, &self.power).map_err(ScenarioError::Sim)
+        let top = sim.time_model.gears().top();
+        let fixed;
+        let bsld;
+        let policy: &dyn FrequencyPolicy = match self.policy {
+            PolicySpec::Baseline => {
+                fixed = FixedGearPolicy::new(top);
+                &fixed
+            }
+            PolicySpec::FixedGear(idx) => {
+                fixed = FixedGearPolicy::new(GearId(idx.min(top.0)));
+                &fixed
+            }
+            PolicySpec::BsldThreshold { th, wq } => {
+                bsld = BsldThresholdPolicy::new(PowerAwareConfig {
+                    bsld_threshold: th,
+                    wq_threshold: wq,
+                });
+                &bsld
+            }
+        };
+        let (res, power) = if self.power.instrumented() {
+            let peak = || PowerCapPolicy::peak_draw(&sim.power, sim.cluster.cpus);
+            let cap = match (self.power.cap_fraction, self.power.soft_wq_escape) {
+                (None, _) => PowerCap::Uncapped,
+                (Some(f), None) => PowerCap::Hard { budget: f * peak() },
+                (Some(f), Some(wq_escape)) => PowerCap::Soft {
+                    budget: f * peak(),
+                    wq_escape,
+                },
+            };
+            let mut hook = PowerCapPolicy::with_rails(
+                &sim.power,
+                sim.cluster.cpus,
+                cap,
+                self.power.sleep.build(),
+            );
+            if let Some(sink) = &sim.engine.sink {
+                // The engine and its power hook share one sink, so sleep
+                // transitions interleave with scheduler events in sim-time
+                // order.
+                hook = hook.with_sink(sink.clone());
+            }
+            let res = simulate_with_hook(
+                &sim.cluster,
+                jobs,
+                policy,
+                &sim.time_model,
+                &sim.engine,
+                &mut hook,
+            )?;
+            let report = hook.into_report(res.makespan.as_secs());
+            (res, Some(report))
+        } else {
+            let res = simulate(&sim.cluster, jobs, policy, &sim.time_model, &sim.engine)?;
+            (res, None)
+        };
+        let metrics = RunMetrics::compute(
+            &res.outcomes,
+            &sim.power,
+            sim.cluster.cpus,
+            sim.time_model.gears().len(),
+        );
+        Ok(ScenarioResult {
+            run: RunResult {
+                metrics,
+                outcomes: res.outcomes,
+                trace: res.trace,
+                pass_stats: res.stats,
+            },
+            power,
+        })
     }
 }
 
-/// The single execution path every run goes through — the legacy
-/// [`Simulator::run_baseline`] / [`Simulator::run_power_aware`] /
-/// [`Simulator::run_power_capped`] entry points are thin shims over this.
-pub(crate) fn execute(
-    sim: &Simulator,
-    jobs: &[Job],
-    policy: &PolicySpec,
-    power: &PowerSpec,
-) -> Result<ScenarioResult, SimError> {
-    let fixed;
-    let bsld;
-    let policy_obj: &dyn bsld_sched::FrequencyPolicy = match policy {
-        PolicySpec::Baseline => {
-            fixed = FixedGearPolicy::new(sim.time_model.gears().top());
-            &fixed
-        }
-        PolicySpec::FixedGear(idx) => {
-            let top = sim.time_model.gears().top();
-            fixed = FixedGearPolicy::new(GearId((*idx).min(top.0)));
-            &fixed
-        }
-        PolicySpec::BsldThreshold { th, wq } => {
-            bsld = BsldThresholdPolicy::new(PowerAwareConfig {
-                bsld_threshold: *th,
-                wq_threshold: *wq,
-            });
-            &bsld
-        }
-    };
-    if power.instrumented() {
-        let res = sim.run_power_capped_with(
-            jobs,
-            policy_obj,
-            power.cap_fraction,
-            power.soft_wq_escape,
-            &power.sleep.build(),
-        )?;
-        Ok(ScenarioResult {
-            run: res.run,
-            power: Some(res.power),
-        })
-    } else {
-        let run = sim.run_with_policy(jobs, policy_obj)?;
-        Ok(ScenarioResult { run, power: None })
-    }
+/// What a [`Scenario::run`] attaches beyond its spec;
+/// [`RunCtx::default`] attaches nothing. The sink and the phase slot never
+/// change the simulated outcome, and the abort flag can only cut it short.
+#[derive(Debug, Default)]
+pub struct RunCtx {
+    /// Polled by the SWF load and once per simulation event: raising it
+    /// makes the run return [`SimError::Aborted`] promptly. The campaign
+    /// pairs it with [`bsld_par::run_budgeted`] to enforce per-cell
+    /// wall-time budgets without killing threads.
+    pub abort: Option<bsld_par::AbortFlag>,
+    /// Receives the run's deterministic trace events. The engine and its
+    /// power hook share it, so scheduler and sleep-ladder events interleave
+    /// in sim-time order.
+    pub sink: Option<Arc<dyn bsld_obs::TraceSink>>,
+    /// The wall-clock phase breakdown of the last run (workload load,
+    /// simulator build, event loop), written as each phase ends, so a
+    /// failed run still records where its time went. Provenance only: the
+    /// campaign keeps it in manifest columns.
+    pub phases: Cell<bsld_obs::PhaseSecs>,
 }
 
 /// Runs scenarios in parallel over `bsld-par`, preserving input order.
@@ -867,7 +829,7 @@ pub fn run_many(
     scenarios: &[Scenario],
     threads: usize,
 ) -> Vec<Result<ScenarioResult, ScenarioError>> {
-    bsld_par::par_map(scenarios.to_vec(), threads, |s| s.run())
+    bsld_par::par_map(scenarios.to_vec(), threads, |s| s.run(&RunCtx::default()))
 }
 
 /// As [`run_many`], with one [`bsld_obs::BufferSink`] attached per
@@ -882,16 +844,21 @@ pub fn run_many_traced(
     Vec<Result<ScenarioResult, ScenarioError>>,
     Vec<Vec<bsld_obs::TraceEvent>>,
 ) {
-    let sinks: Vec<std::sync::Arc<bsld_obs::BufferSink>> = scenarios
+    let sinks: Vec<Arc<bsld_obs::BufferSink>> = scenarios
         .iter()
         .map(|_| bsld_obs::BufferSink::shared())
         .collect();
-    let tasks: Vec<(Scenario, std::sync::Arc<bsld_obs::BufferSink>)> = scenarios
+    let tasks: Vec<(Scenario, Arc<bsld_obs::BufferSink>)> = scenarios
         .iter()
         .cloned()
         .zip(sinks.iter().cloned())
         .collect();
-    let results = bsld_par::par_map(tasks, threads, |(s, sink)| s.run_with_sink(sink));
+    let results = bsld_par::par_map(tasks, threads, |(s, sink)| {
+        s.run(&RunCtx {
+            sink: Some(sink),
+            ..RunCtx::default()
+        })
+    });
     let events = sinks.iter().map(|s| s.take()).collect();
     (results, events)
 }
@@ -2117,7 +2084,7 @@ mod tests {
         // round-trip preserves run behaviour (power report absent both
         // ways).
         assert!(!sc.power.instrumented());
-        assert!(sc.run().unwrap().power.is_none());
+        assert!(sc.run(&RunCtx::default()).unwrap().power.is_none());
     }
 
     #[test]
@@ -2164,18 +2131,19 @@ mod tests {
     }
 
     #[test]
-    fn run_matches_legacy_simulator_wiring() {
+    fn run_matches_hand_wired_engine() {
         let mut sc = base();
         sc.policy = PolicySpec::BsldThreshold {
             th: 2.0,
             wq: WqThreshold::NoLimit,
         };
-        let res = sc.run().unwrap();
+        let res = sc.run(&RunCtx::default()).unwrap();
         let w = TraceProfile::sdsc_blue().scaled_cpus(64).generate(42, 100);
-        let legacy = Simulator::paper_default(&w.cluster_name, w.cpus)
-            .run_power_aware(&w.jobs, &PowerAwareConfig::medium())
-            .unwrap();
-        assert_eq!(res.run.outcomes, legacy.outcomes);
+        let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
+        let policy = BsldThresholdPolicy::new(PowerAwareConfig::medium());
+        let reference =
+            simulate(&sim.cluster, &w.jobs, &policy, &sim.time_model, &sim.engine).unwrap();
+        assert_eq!(res.run.outcomes, reference.outcomes);
         assert!(res.power.is_none());
     }
 
@@ -2183,7 +2151,7 @@ mod tests {
     fn observe_only_scenario_reports_power() {
         let mut sc = base();
         sc.power.observe = true;
-        let res = sc.run().unwrap();
+        let res = sc.run(&RunCtx::default()).unwrap();
         let p = res.power.expect("observed run must report power");
         assert!(p.energy > 0.0);
         assert_eq!(p.budget, None);
@@ -2193,9 +2161,9 @@ mod tests {
     fn fixed_gear_scenario_clamps_to_top() {
         let mut sc = base();
         sc.policy = PolicySpec::FixedGear(99);
-        let clamped = sc.run().unwrap();
+        let clamped = sc.run(&RunCtx::default()).unwrap();
         sc.policy = PolicySpec::Baseline;
-        let baseline = sc.run().unwrap();
+        let baseline = sc.run(&RunCtx::default()).unwrap();
         assert_eq!(clamped.run.outcomes, baseline.run.outcomes);
     }
 
@@ -2302,7 +2270,7 @@ mod tests {
                 other => panic!("expected SWF cell, got {other:?}"),
             }
             // Each expanded cell runs (tiny 5-job traces).
-            assert_eq!(cell.run().unwrap().run.outcomes.len(), 5);
+            assert_eq!(cell.run(&RunCtx::default()).unwrap().run.outcomes.len(), 5);
         }
         // An empty directory is an error, not an empty sweep.
         let empty = dir.join("empty");
@@ -2398,7 +2366,7 @@ mod tests {
     fn model_scenario_reports_three_rails() {
         let mut sc = base();
         sc.power.model = Some(PowerModelSpec::Linear);
-        let res = sc.run().unwrap();
+        let res = sc.run(&RunCtx::default()).unwrap();
         let p = res.power.expect("a model selection instruments the run");
         assert_eq!(p.rails.len(), 3, "cpu + mem + net rails");
         let sum: f64 = p.rails.iter().map(|r| r.energy).sum();
@@ -2412,10 +2380,10 @@ mod tests {
         std::fs::write(&csv, "utilization,watts\n0.0,2.0\n1.0,9.0\n").unwrap();
         let mut sc = base();
         sc.power.model = Some(PowerModelSpec::Empirical(csv.clone()));
-        assert!(sc.run().is_ok());
+        assert!(sc.run(&RunCtx::default()).is_ok());
         // A missing file surfaces as an Io error, not a panic.
         sc.power.model = Some(PowerModelSpec::Empirical(dir.join("does_not_exist.csv")));
-        match sc.run() {
+        match sc.run(&RunCtx::default()) {
             Err(ScenarioError::Io(msg)) => assert!(msg.contains("does_not_exist"), "{msg}"),
             other => panic!("expected Io error, got {other:?}"),
         }
@@ -2430,9 +2398,9 @@ mod tests {
         // the schedule.
         let mut sc = base();
         sc.power.observe = true;
-        let default_run = sc.run().unwrap();
+        let default_run = sc.run(&RunCtx::default()).unwrap();
         sc.power.model = Some(PowerModelSpec::Paper);
-        let paper_run = sc.run().unwrap();
+        let paper_run = sc.run(&RunCtx::default()).unwrap();
         assert_eq!(default_run.run.outcomes, paper_run.run.outcomes);
         let d = default_run.power.unwrap();
         let p = paper_run.power.unwrap();

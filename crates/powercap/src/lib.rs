@@ -23,7 +23,7 @@
 //!   mirroring the paper's `WQ_threshold` gate.
 //!
 //! The run-facing integration lives in `bsld-core`
-//! (`Simulator::run_power_capped`) and the cap-sweep experiment in
+//! (`Scenario::run_prepared`) and the cap-sweep experiment in
 //! `bsld-core`'s experiment harness.
 
 #![deny(missing_docs)]

@@ -11,30 +11,35 @@
 //! energy *and* better service?"
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
-use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
+use bsld::core::scenario::{PolicySpec, ProfileName, Scenario};
+use bsld::core::WqThreshold;
 use bsld::metrics::TextTable;
 use bsld::par::par_map;
-use bsld::workload::profiles::TraceProfile;
+
+/// Runs `sc` over the pre-generated workload `w`.
+fn run(sc: &Scenario, w: &bsld::workload::Workload) -> bsld::metrics::RunMetrics {
+    let sim = sc.simulator(w).unwrap();
+    sc.run_prepared(&sim, &w.jobs).unwrap().run.metrics
+}
 
 fn main() {
-    let w = TraceProfile::ctc().generate(2010, 3000);
-    let base = Simulator::paper_default(&w.cluster_name, w.cpus)
-        .run_baseline(&w.jobs)
-        .unwrap()
-        .metrics;
+    let baseline = Scenario::synthetic("capacity", ProfileName::Ctc, 3000, 2010);
+    let w = baseline.build_workload().unwrap();
+    let base = run(&baseline, &w);
     println!(
         "{}: original machine {} cpus, baseline avg BSLD {:.2}\n",
         w.cluster_name, w.cpus, base.avg_bsld
     );
 
     let sizes = [0u32, 10, 20, 50, 75, 100, 125];
-    let cfg = PowerAwareConfig {
-        bsld_threshold: 2.0,
-        wq_threshold: WqThreshold::Limit(0),
-    };
     let results = par_map(sizes.to_vec(), bsld::par::default_threads(), |pct| {
-        let sim = Simulator::paper_default(&w.cluster_name, w.cpus).enlarged(pct);
-        (pct, sim.run_power_aware(&w.jobs, &cfg).unwrap().metrics)
+        let mut sc = baseline.clone();
+        sc.policy = PolicySpec::BsldThreshold {
+            th: 2.0,
+            wq: WqThreshold::Limit(0),
+        };
+        sc.cluster.enlarge_pct = pct;
+        (pct, run(&sc, &w))
     });
 
     let mut t = TextTable::new(vec![

@@ -10,18 +10,20 @@
 //! DVFS-induced queueing is the dominant cost.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
-use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
+use bsld::core::scenario::{PolicySpec, ProfileName, Scenario};
+use bsld::core::WqThreshold;
 use bsld::metrics::TextTable;
 use bsld::par::par_map;
-use bsld::workload::profiles::TraceProfile;
 
 fn main() {
-    let w = TraceProfile::llnl_thunder().generate(2010, 3000);
-    let sim0 = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let base = sim0.run_baseline(&w.jobs).unwrap().metrics;
-    let cfg = PowerAwareConfig {
-        bsld_threshold: 3.0,
-        wq_threshold: WqThreshold::NoLimit,
+    let baseline = Scenario::synthetic("dynamic-boost", ProfileName::LlnlThunder, 3000, 2010);
+    let w = baseline.build_workload().unwrap();
+    let sim = baseline.simulator(&w).unwrap();
+    let base = baseline.run_prepared(&sim, &w.jobs).unwrap().run.metrics;
+    let mut dvfs = baseline.clone();
+    dvfs.policy = PolicySpec::BsldThreshold {
+        th: 3.0,
+        wq: WqThreshold::NoLimit,
     };
 
     println!(
@@ -31,12 +33,10 @@ fn main() {
 
     let variants: Vec<Option<usize>> = vec![None, Some(32), Some(8), Some(2), Some(0)];
     let rows = par_map(variants, bsld::par::default_threads(), |boost| {
-        let sim = match boost {
-            None => sim0.clone(),
-            Some(limit) => sim0.clone().with_boost(limit),
-        };
-        let m = sim.run_power_aware(&w.jobs, &cfg).unwrap().metrics;
-        (boost, m)
+        let mut sc = dvfs.clone();
+        sc.power.boost = boost;
+        let sim = sc.simulator(&w).unwrap();
+        (boost, sc.run_prepared(&sim, &w.jobs).unwrap().run.metrics)
     });
 
     let mut t = TextTable::new(vec![

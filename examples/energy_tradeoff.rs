@@ -8,28 +8,23 @@
 //! `workload` ∈ {ctc, sdsc, blue, thunder, atlas}; default `blue`.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
-use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
+use bsld::core::scenario::{PolicySpec, ProfileName, Scenario};
+use bsld::core::{PowerAwareConfig, WqThreshold};
 use bsld::metrics::TextTable;
-use bsld::workload::profiles::TraceProfile;
 
 fn main() {
     let which = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "blue".to_string());
-    let profile = match which.as_str() {
-        "ctc" => TraceProfile::ctc(),
-        "sdsc" => TraceProfile::sdsc(),
-        "blue" => TraceProfile::sdsc_blue(),
-        "thunder" => TraceProfile::llnl_thunder(),
-        "atlas" => TraceProfile::llnl_atlas(),
-        other => {
-            eprintln!("unknown workload {other}; use ctc|sdsc|blue|thunder|atlas");
-            std::process::exit(1);
-        }
-    };
-    let w = profile.generate(2010, 3000);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let base = sim.run_baseline(&w.jobs).unwrap();
+    let profile = ProfileName::parse(&which).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    });
+    // One workload and simulator, shared by every policy run below.
+    let mut sc = Scenario::synthetic("energy-tradeoff", profile, 3000, 2010);
+    let w = sc.build_workload().unwrap();
+    let sim = sc.simulator(&w).unwrap();
+    let base = sc.run_prepared(&sim, &w.jobs).unwrap().run;
     println!(
         "{}: baseline avg BSLD {:.2}, avg wait {:.0} s\n",
         w.cluster_name, base.metrics.avg_bsld, base.metrics.avg_wait_secs
@@ -54,7 +49,8 @@ fn main() {
                 bsld_threshold: bsld_th,
                 wq_threshold: wq,
             };
-            let run = sim.run_power_aware(&w.jobs, &cfg).unwrap();
+            sc.policy = PolicySpec::from(cfg);
+            let run = sc.run_prepared(&sim, &w.jobs).unwrap().run;
             t.row(vec![
                 cfg.label(),
                 format!(

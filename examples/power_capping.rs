@@ -11,39 +11,35 @@
 //! DVFS policy — and prints the ledger-level power picture of each.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
-use bsld::core::{PowerAwareConfig, PowerCapConfig, Simulator, WqThreshold};
+use bsld::core::scenario::{PolicySpec, ProfileName, Scenario, SleepSpec};
+use bsld::core::WqThreshold;
 use bsld::metrics::TextTable;
-use bsld::powercap::SleepConfig;
-use bsld::workload::profiles::TraceProfile;
 
 fn main() {
     let cap: f64 = std::env::args()
         .nth(1)
         .map(|s| s.parse().expect("cap_fraction must be a number"))
         .unwrap_or(0.6);
-    let w = TraceProfile::sdsc_blue().generate(2010, 3000);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
+    // Observing the power ledger, with no budget, no sleeping and no DVFS.
+    let mut observe = Scenario::synthetic("power-capping", ProfileName::SdscBlue, 3000, 2010);
+    observe.power.observe = true;
+    let w = observe.build_workload().unwrap();
+    let sim = observe.simulator(&w).unwrap();
 
-    let dvfs = PowerAwareConfig {
-        bsld_threshold: 2.0,
-        wq_threshold: WqThreshold::NoLimit,
+    let mut sleep = observe.clone();
+    sleep.power.sleep = SleepSpec::Paper;
+    let mut capped = sleep.clone();
+    capped.power.cap_fraction = Some(cap);
+    let mut capped_dvfs = capped.clone();
+    capped_dvfs.policy = PolicySpec::BsldThreshold {
+        th: 2.0,
+        wq: WqThreshold::NoLimit,
     };
-    let cases: Vec<(&str, PowerCapConfig)> = vec![
-        ("uncapped baseline", PowerCapConfig::observe_only()),
-        (
-            "sleep states only",
-            PowerCapConfig::observe_only().with_sleep(SleepConfig::paper_default()),
-        ),
-        (
-            "hard cap",
-            PowerCapConfig::hard(cap).with_sleep(SleepConfig::paper_default()),
-        ),
-        (
-            "hard cap + DVFS 2/NO",
-            PowerCapConfig::hard(cap)
-                .with_sleep(SleepConfig::paper_default())
-                .with_policy(dvfs),
-        ),
+    let cases = [
+        ("uncapped baseline", observe),
+        ("sleep states only", sleep),
+        ("hard cap", capped),
+        ("hard cap + DVFS 2/NO", capped_dvfs),
     ];
 
     println!(
@@ -63,8 +59,8 @@ fn main() {
         "wakes",
     ]);
     let mut base_energy = None;
-    for (name, cfg) in &cases {
-        let r = match sim.run_power_capped(&w.jobs, cfg) {
+    for (name, sc) in &cases {
+        let r = match sc.run_prepared(&sim, &w.jobs) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!(
@@ -73,15 +69,16 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let base = *base_energy.get_or_insert(r.power.energy);
+        let power = r.power.expect("observed runs report power");
+        let base = *base_energy.get_or_insert(power.energy);
         t.row(vec![
             name.to_string(),
-            format!("{:.3}x", r.power.energy / base),
-            format!("{:.0}", r.power.peak),
-            format!("{:.0}", r.power.average),
+            format!("{:.3}x", power.energy / base),
+            format!("{:.0}", power.peak),
+            format!("{:.0}", power.average),
             format!("{:.2}", r.run.metrics.avg_bsld),
-            r.power.cap.deferrals.to_string(),
-            r.power.sleep.wakes.to_string(),
+            power.cap.deferrals.to_string(),
+            power.sleep.wakes.to_string(),
         ]);
     }
     println!("{}", t.render());

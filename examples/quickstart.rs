@@ -10,14 +10,13 @@
 //! prints the energy/performance trade-off.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
-use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
+use bsld::core::scenario::{PolicySpec, ProfileName, RunCtx, Scenario};
+use bsld::core::WqThreshold;
 use bsld::metrics::TextTable;
-use bsld::workload::profiles::TraceProfile;
 
 fn main() {
-    let seed = 2010;
-    let jobs = 2000;
-    let workload = TraceProfile::sdsc_blue().generate(seed, jobs);
+    let mut sc = Scenario::synthetic("quickstart", ProfileName::SdscBlue, 2000, 2010);
+    let workload = sc.build_workload().expect("synthetic workloads build");
     println!(
         "workload: {} on {} cpus, {} jobs, offered load {:.2}",
         workload.cluster_name,
@@ -26,18 +25,19 @@ fn main() {
         workload.offered_load()
     );
 
-    let sim = Simulator::paper_default(&workload.cluster_name, workload.cpus);
-
-    let base = sim
-        .run_baseline(&workload.jobs)
-        .expect("workload fits the machine");
-    let cfg = PowerAwareConfig {
-        bsld_threshold: 2.0,
-        wq_threshold: WqThreshold::NoLimit,
+    // The scenario's default policy is the no-DVFS EASY baseline.
+    let base = sc
+        .run(&RunCtx::default())
+        .expect("workload fits the machine")
+        .run;
+    sc.policy = PolicySpec::BsldThreshold {
+        th: 2.0,
+        wq: WqThreshold::NoLimit,
     };
-    let dvfs = sim
-        .run_power_aware(&workload.jobs, &cfg)
-        .expect("workload fits the machine");
+    let dvfs = sc
+        .run(&RunCtx::default())
+        .expect("workload fits the machine")
+        .run;
 
     let mut t = TextTable::new(vec!["metric", "EASY (no DVFS)", "power-aware 2/NO"]);
     t.row(vec![

@@ -12,13 +12,15 @@
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use bsld::cluster::SelectionPolicy;
-use bsld::core::{PowerAwareConfig, Simulator};
+use bsld::core::scenario::{PolicySpec, ProfileName, Scenario};
+use bsld::core::PowerAwareConfig;
 use bsld::metrics::TextTable;
 use bsld::par::par_map;
-use bsld::workload::profiles::TraceProfile;
+use bsld::sched::SchedMode;
 
 fn main() {
-    let w = TraceProfile::sdsc_blue().generate(2010, 2500);
+    let base = Scenario::synthetic("substrates", ProfileName::SdscBlue, 2500, 2010);
+    let w = base.build_workload().unwrap();
     let cfg = PowerAwareConfig::medium();
     println!(
         "{}: {} jobs on {} cpus, policy {}\n",
@@ -53,18 +55,27 @@ fn main() {
     ];
 
     let results = par_map(variants.clone(), bsld::par::default_threads(), |(_, v)| {
-        let base = Simulator::paper_default(&w.cluster_name, w.cpus);
-        let (sim, dvfs) = match v {
-            Variant::Easy(d) => (base, d),
-            Variant::Conservative(d) => (base.with_conservative(), d),
-            Variant::Fcfs(d) => (base.without_backfill(), d),
-            Variant::Selection(sel, d) => (base.with_selection(sel), d),
+        let mut sc = base.clone();
+        let dvfs = match v {
+            Variant::Easy(d) => d,
+            Variant::Conservative(d) => {
+                sc.engine.mode = SchedMode::Conservative;
+                d
+            }
+            Variant::Fcfs(d) => {
+                sc.engine.backfill = false;
+                d
+            }
+            Variant::Selection(sel, d) => {
+                sc.engine.selection = sel;
+                d
+            }
         };
         if dvfs {
-            sim.run_power_aware(&w.jobs, &cfg).unwrap().metrics
-        } else {
-            sim.run_baseline(&w.jobs).unwrap().metrics
+            sc.policy = PolicySpec::from(cfg);
         }
+        let sim = sc.simulator(&w).unwrap();
+        sc.run_prepared(&sim, &w.jobs).unwrap().run.metrics
     });
 
     let easy_base = &results[0];

@@ -11,6 +11,7 @@
 //! before the paper used them.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
+use bsld::core::scenario::{ProfileName, Scenario};
 use bsld::core::Simulator;
 use bsld::swf::{
     clean_trace, parse_swf, select_segment, write_swf, CleanConfig, SwfHeader, SwfRecord, SwfTrace,
@@ -108,10 +109,13 @@ fn main() {
     let seg = select_segment(&trace, 0, 5000);
     let w = Workload::from_swf("trace", &seg);
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    match sim.run_baseline(&w.jobs) {
+    // The segment is already in memory, so run the baseline scenario's
+    // kernel on it directly; the spec's own workload is never built.
+    let baseline = Scenario::synthetic("trace", ProfileName::Ctc, 0, 0);
+    match baseline.run_prepared(&sim, &w.jobs) {
         Ok(res) => println!(
             "\nbaseline simulation: avg BSLD {:.2}, avg wait {:.0} s, utilization {:.2}",
-            res.metrics.avg_bsld, res.metrics.avg_wait_secs, res.metrics.utilization
+            res.run.metrics.avg_bsld, res.run.metrics.avg_wait_secs, res.run.metrics.utilization
         ),
         Err(e) => eprintln!("simulation rejected the trace: {e}"),
     }

@@ -21,12 +21,12 @@
 //! * [`obs`] — observability: the deterministic sim-time trace plane
 //!   (Chrome-trace export) and the wall-clock profiling plane (counters,
 //!   histograms, phase timers);
-//! * [`core`] — the paper's BSLD-threshold policy, simulator facade, the
-//!   declarative scenario API (`core::scenario`: one serializable spec, one
-//!   `run()`, sweepable scenario files), the campaign layer
-//!   (`core::campaign`: seed-replicated sweeps with mean ± 95 % CI,
-//!   content-hash cell caching and resume) and the experiment harness
-//!   reproducing every table and figure;
+//! * [`core`] — the paper's BSLD-threshold policy, the declarative
+//!   scenario API (`core::scenario`: one serializable spec, one way to
+//!   run it, `Scenario::run(&RunCtx)`, sweepable scenario files), the
+//!   campaign layer (`core::campaign`: seed-replicated sweeps with mean ±
+//!   95 % CI, content-hash cell caching and resume) and the experiment
+//!   harness reproducing every table and figure;
 //! * [`par`] — the parallel sweep executor;
 //! * [`serve`] — the `bsld-repro serve` daemon: resident workloads and
 //!   cached cell results answering what-if queries over a Unix socket.
@@ -34,19 +34,22 @@
 //! ## Quickstart
 //!
 //! ```
-//! use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
-//! use bsld::workload::profiles::TraceProfile;
+//! use bsld::core::scenario::{PolicySpec, ProfileName, RunCtx, Scenario, WorkloadSpec};
+//! use bsld::core::WqThreshold;
 //!
-//! // A small calibrated workload (SDSC-Blue-like), 200 jobs, seed 42.
-//! let workload = TraceProfile::sdsc_blue().scaled_cpus(64).generate(42, 200);
-//! let sim = Simulator::paper_default(&workload.cluster_name, workload.cpus);
+//! // A small calibrated workload (SDSC-Blue-like): 200 jobs on 64 cpus, seed 42.
+//! let mut sc = Scenario::synthetic("quickstart", ProfileName::SdscBlue, 200, 42).map_workload(|w| {
+//!     if let WorkloadSpec::Synthetic { scale_cpus, .. } = w {
+//!         *scale_cpus = Some(64);
+//!     }
+//! });
 //!
 //! // Baseline: EASY backfilling, no DVFS.
-//! let base = sim.run_baseline(&workload.jobs).unwrap();
+//! let base = sc.run(&RunCtx::default()).unwrap().run;
 //!
 //! // The paper's policy: BSLD threshold 2.0, unlimited wait queue.
-//! let cfg = PowerAwareConfig { bsld_threshold: 2.0, wq_threshold: WqThreshold::NoLimit };
-//! let dvfs = sim.run_power_aware(&workload.jobs, &cfg).unwrap();
+//! sc.policy = PolicySpec::BsldThreshold { th: 2.0, wq: WqThreshold::NoLimit };
+//! let dvfs = sc.run(&RunCtx::default()).unwrap().run;
 //!
 //! assert!(dvfs.metrics.energy.computational <= base.metrics.energy.computational);
 //! ```

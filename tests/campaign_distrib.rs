@@ -296,9 +296,26 @@ fn spec_pinning_and_merge_validation() {
     std::fs::remove_dir_all(&empty).ok();
 }
 
+/// A failed unit still records where its wall-clock time went: all three
+/// phase columns are present, finite and non-negative, and not all zero.
+fn assert_phases_recorded(row: &RepRow) {
+    let mut total = 0.0;
+    for (name, v) in [
+        ("parse_s", row.parse_s),
+        ("build_s", row.build_s),
+        ("sim_s", row.sim_s),
+    ] {
+        let v = v.unwrap_or_else(|| panic!("{}: {name} missing", row.name));
+        assert!(v.is_finite() && v >= 0.0, "{}: {name} = {v}", row.name);
+        total += v;
+    }
+    assert!(total > 0.0, "{}: phase timings dropped", row.name);
+}
+
 /// A zero cell budget aborts every unit deterministically: the sweep
 /// completes (no stall), every unit is a `failed` row with the budget
-/// reason, and a resume does not re-burn wall-clock on them.
+/// reason and its phase timings, and a resume does not re-burn wall-clock
+/// on them.
 #[test]
 fn zero_budget_records_failed_rows_and_completes() {
     let mut set = campaign_set(2);
@@ -316,6 +333,7 @@ fn zero_budget_records_failed_rows_and_completes() {
             }
             RepOutcome::Ok(_) => panic!("unit must have been cut off"),
         }
+        assert_phases_recorded(row);
     }
     // Resume: all six failed rows are cached, nothing reruns.
     let resumed = run_campaign(&set, &CampaignOptions::resume(2, &dir), None).unwrap();
@@ -324,9 +342,10 @@ fn zero_budget_records_failed_rows_and_completes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// An infeasible cell (hard cap nothing can start under) fails while the
-/// rest of the sweep completes and aggregates — in the single process, in
-/// the sharded workers, and byte-identically across the two.
+/// An infeasible cell (hard cap nothing can start under) fails, keeping its
+/// phase timings, while the rest of the sweep completes and aggregates —
+/// in the single process, in the sharded workers, and byte-identically
+/// across the two.
 #[test]
 fn infeasible_cell_fails_but_sweep_completes_everywhere() {
     let mut set = campaign_set(2);
@@ -337,6 +356,15 @@ fn infeasible_cell_fails_but_sweep_completes_everywhere() {
     assert_eq!(out.failures.len(), 2, "{:?}", out.failures);
     assert_eq!(out.summaries.len(), 1, "the feasible cell aggregates");
     assert_eq!(out.summaries[0].bsld.n, 2);
+    let failed: Vec<&RepRow> = out
+        .rows
+        .iter()
+        .filter(|r| matches!(r.outcome, RepOutcome::Failed { .. }))
+        .collect();
+    assert_eq!(failed.len(), 2);
+    for row in failed {
+        assert_phases_recorded(row);
+    }
 
     let shared = tmp_dir("capshared");
     let mut worker_failures = 0;

@@ -10,7 +10,7 @@ use bsld::core::campaign::{
     read_manifest, run_campaign, CampaignOptions, CellId, RepRow, MANIFEST_FILE, RESULTS_FILE,
 };
 use bsld::core::scenario::{
-    OutputSpec, ProfileName, Scenario, ScenarioSet, SweepAxis, WorkloadSpec,
+    OutputSpec, ProfileName, RunCtx, Scenario, ScenarioSet, SweepAxis, WorkloadSpec,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -257,7 +257,7 @@ fn replication_zero_preserves_base_scenario() {
     assert_ne!(seeds[2], seeds[1]);
     // The rep-0 row equals a plain single run of the cell.
     let cell = set.expand().unwrap()[0].clone();
-    let direct = cell.run().unwrap();
+    let direct = cell.run(&RunCtx::default()).unwrap();
     let row0 = out
         .rows
         .iter()

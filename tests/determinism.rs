@@ -6,7 +6,8 @@
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use bsld::core::experiments::{grid, table1, ExpOptions};
-use bsld::core::{PowerAwareConfig, Simulator};
+use bsld::core::scenario::{PolicySpec, ProfileName, RunCtx, Scenario, WorkloadSpec};
+use bsld::core::PowerAwareConfig;
 use bsld::par::par_map;
 use bsld::workload::profiles::TraceProfile;
 
@@ -26,16 +27,14 @@ fn seeds_actually_differ() {
 
 #[test]
 fn simulation_metrics_reproducible() {
-    let w = TraceProfile::sdsc_blue().scaled_cpus(64).generate(17, 400);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let m1 = sim
-        .run_power_aware(&w.jobs, &PowerAwareConfig::medium())
-        .unwrap()
-        .metrics;
-    let m2 = sim
-        .run_power_aware(&w.jobs, &PowerAwareConfig::medium())
-        .unwrap()
-        .metrics;
+    let mut sc = Scenario::synthetic("repro", ProfileName::SdscBlue, 400, 17).map_workload(|w| {
+        if let WorkloadSpec::Synthetic { scale_cpus, .. } = w {
+            *scale_cpus = Some(64);
+        }
+    });
+    sc.policy = PolicySpec::from(PowerAwareConfig::medium());
+    let m1 = sc.run(&RunCtx::default()).unwrap().run.metrics;
+    let m2 = sc.run(&RunCtx::default()).unwrap().run.metrics;
     assert_eq!(m1.avg_bsld.to_bits(), m2.avg_bsld.to_bits());
     assert_eq!(
         m1.energy.computational.to_bits(),

@@ -4,17 +4,20 @@
 //! the schedule; these tests recompute them independently and compare.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
+mod common;
+
 use bsld::cluster::GearSet;
-use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
+use bsld::core::scenario::{PolicySpec, ProfileName};
+use bsld::core::{PowerAwareConfig, WqThreshold};
 use bsld::model::GearId;
 use bsld::power::{BetaModel, PaperDvfs};
-use bsld::workload::profiles::TraceProfile;
+use common::{bsld, run, scaled};
 
 #[test]
 fn baseline_energy_equals_area_times_top_power() {
-    let w = TraceProfile::ctc().scaled_cpus(32).generate(31, 300);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let res = sim.run_baseline(&w.jobs).unwrap();
+    let sc = scaled(ProfileName::Ctc, 32, 31, 300);
+    let w = sc.build_workload().unwrap();
+    let res = run(&sc).run;
     let pm = PaperDvfs::paper(GearSet::paper());
     let top = GearSet::paper().top();
     let expected: f64 = w
@@ -31,17 +34,9 @@ fn baseline_energy_equals_area_times_top_power() {
 
 #[test]
 fn policy_energy_recomputable_from_outcomes() {
-    let w = TraceProfile::sdsc_blue().scaled_cpus(64).generate(33, 400);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let res = sim
-        .run_power_aware(
-            &w.jobs,
-            &PowerAwareConfig {
-                bsld_threshold: 3.0,
-                wq_threshold: WqThreshold::NoLimit,
-            },
-        )
-        .unwrap();
+    let mut sc = scaled(ProfileName::SdscBlue, 64, 33, 400);
+    sc.policy = bsld(3.0, WqThreshold::NoLimit);
+    let res = run(&sc).run;
     let pm = PaperDvfs::paper(GearSet::paper());
     let pm_ref = &pm;
     let manual: f64 = res
@@ -59,14 +54,11 @@ fn policy_energy_recomputable_from_outcomes() {
 
 #[test]
 fn idle_energy_identity() {
-    let w = TraceProfile::llnl_thunder()
-        .scaled_cpus(64)
-        .generate(35, 300);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let res = sim.run_baseline(&w.jobs).unwrap();
+    let sc = scaled(ProfileName::LlnlThunder, 64, 35, 300);
+    let res = run(&sc).run;
     let pm = PaperDvfs::paper(GearSet::paper());
     let e = &res.metrics.energy;
-    let capacity = w.cpus as f64 * e.makespan_secs as f64;
+    let capacity = 64.0 * e.makespan_secs as f64;
     let expected_idle = (capacity - e.busy_cpu_secs) * pm.p_idle();
     assert!(
         ((e.with_idle - e.computational) / expected_idle - 1.0).abs() < 1e-9,
@@ -76,17 +68,10 @@ fn idle_energy_identity() {
 
 #[test]
 fn dilated_runtime_matches_beta_model_per_job() {
-    let w = TraceProfile::sdsc_blue().scaled_cpus(48).generate(37, 250);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let res = sim
-        .run_power_aware(
-            &w.jobs,
-            &PowerAwareConfig {
-                bsld_threshold: 3.0,
-                wq_threshold: WqThreshold::NoLimit,
-            },
-        )
-        .unwrap();
+    let mut sc = scaled(ProfileName::SdscBlue, 48, 37, 250);
+    sc.policy = bsld(3.0, WqThreshold::NoLimit);
+    let w = sc.build_workload().unwrap();
+    let res = run(&sc).run;
     let tm = BetaModel::new(GearSet::paper());
     for o in &res.outcomes {
         if o.phases.len() == 1 {
@@ -106,11 +91,9 @@ fn dilated_runtime_matches_beta_model_per_job() {
 
 #[test]
 fn bsld_metric_recomputable_from_outcomes() {
-    let w = TraceProfile::ctc().scaled_cpus(32).generate(39, 300);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let res = sim
-        .run_power_aware(&w.jobs, &PowerAwareConfig::medium())
-        .unwrap();
+    let mut sc = scaled(ProfileName::Ctc, 32, 39, 300);
+    sc.policy = PolicySpec::from(PowerAwareConfig::medium());
+    let res = run(&sc).run;
     let manual: f64 =
         res.outcomes.iter().map(|o| o.bsld(600)).sum::<f64>() / res.outcomes.len() as f64;
     assert!((res.metrics.avg_bsld / manual - 1.0).abs() < 1e-12);
@@ -125,30 +108,25 @@ fn bsld_metric_recomputable_from_outcomes() {
 
 #[test]
 fn utilization_in_unit_interval_and_consistent() {
-    for (seed, profile) in [(41u64, TraceProfile::ctc()), (43, TraceProfile::sdsc())] {
-        let w = profile.scaled_cpus(32).generate(seed, 300);
-        let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-        let m = sim.run_baseline(&w.jobs).unwrap().metrics;
+    for (seed, profile) in [(41u64, ProfileName::Ctc), (43, ProfileName::Sdsc)] {
+        let m = run(&scaled(profile, 32, seed, 300)).run.metrics;
         assert!(
             m.utilization > 0.0 && m.utilization <= 1.0,
             "util = {}",
             m.utilization
         );
-        let manual = m.energy.busy_cpu_secs / (w.cpus as f64 * m.makespan_secs as f64);
+        let manual = m.energy.busy_cpu_secs / (32.0 * m.makespan_secs as f64);
         assert!((m.utilization - manual).abs() < 1e-12);
     }
 }
 
 #[test]
 fn gear_histogram_sums_to_job_count() {
-    let w = TraceProfile::sdsc_blue().scaled_cpus(64).generate(45, 350);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let m = sim
-        .run_power_aware(&w.jobs, &PowerAwareConfig::medium())
-        .unwrap()
-        .metrics;
+    let mut sc = scaled(ProfileName::SdscBlue, 64, 45, 350);
+    sc.policy = PolicySpec::from(PowerAwareConfig::medium());
+    let m = run(&sc).run.metrics;
     let total: usize = m.gear_histogram.iter().sum();
-    assert_eq!(total, w.jobs.len());
+    assert_eq!(total, 350);
     // Reduced = everything not initially at top... unless boosted (no boost
     // here), so the histogram's sub-top mass equals reduced_jobs.
     let sub_top: usize = m.gear_histogram[..5].iter().sum();

@@ -2,20 +2,23 @@
 //! scale.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
+mod common;
+
 use bsld::core::experiments::{enlarged, ExpOptions};
-use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
-use bsld::workload::profiles::TraceProfile;
+use bsld::core::scenario::{PolicySpec, ProfileName, Scenario};
+use bsld::core::{PowerAwareConfig, WqThreshold};
+use common::{bsld, run, scaled};
 
 #[test]
 fn enlarging_monotonically_improves_bsld_under_dvfs() {
     // Paper: "an additional increase in system size always gives an
     // improvement in performance" (Figure 9).
-    let w = TraceProfile::sdsc_blue().scaled_cpus(96).generate(21, 500);
-    let cfg = PowerAwareConfig::medium();
+    let mut sc = scaled(ProfileName::SdscBlue, 96, 21, 500);
+    sc.policy = PolicySpec::from(PowerAwareConfig::medium());
     let mut last = f64::INFINITY;
     for pct in [0u32, 20, 50, 100] {
-        let sim = Simulator::paper_default(&w.cluster_name, w.cpus).enlarged(pct);
-        let m = sim.run_power_aware(&w.jobs, &cfg).unwrap().metrics;
+        sc.cluster.enlarge_pct = pct;
+        let m = run(&sc).run.metrics;
         assert!(
             m.avg_bsld <= last * 1.02,
             "+{pct}%: BSLD {} should not exceed previous {last}",
@@ -29,16 +32,12 @@ fn enlarging_monotonically_improves_bsld_under_dvfs() {
 fn computational_energy_decreases_with_size() {
     // Paper: "Logically, computational energy decreases with system
     // dimension increase" — shorter waits admit more DVFS.
-    let w = TraceProfile::ctc().scaled_cpus(64).generate(23, 500);
-    let cfg = PowerAwareConfig::medium();
+    let mut sc = scaled(ProfileName::Ctc, 64, 23, 500);
+    sc.policy = PolicySpec::from(PowerAwareConfig::medium());
     let energy = |pct: u32| {
-        Simulator::paper_default(&w.cluster_name, w.cpus)
-            .enlarged(pct)
-            .run_power_aware(&w.jobs, &cfg)
-            .unwrap()
-            .metrics
-            .energy
-            .computational
+        let mut sc = sc.clone();
+        sc.cluster.enlarge_pct = pct;
+        run(&sc).run.metrics.energy.computational
     };
     let e0 = energy(0);
     let e50 = energy(50);
@@ -59,20 +58,15 @@ fn idle_aware_energy_eventually_grows_with_size() {
     // increase in system size results in higher energy consumption".
     // Idle power of the extra processors must eventually dominate. Compare
     // the idle components directly: capacity grows linearly with size.
-    let w = TraceProfile::llnl_thunder()
-        .scaled_cpus(128)
-        .generate(25, 400);
-    let cfg = PowerAwareConfig::medium();
-    let run = |pct: u32| {
-        Simulator::paper_default(&w.cluster_name, w.cpus)
-            .enlarged(pct)
-            .run_power_aware(&w.jobs, &cfg)
-            .unwrap()
-            .metrics
-            .energy
+    let mut sc = scaled(ProfileName::LlnlThunder, 128, 25, 400);
+    sc.policy = PolicySpec::from(PowerAwareConfig::medium());
+    let energy = |pct: u32| {
+        let mut sc = sc.clone();
+        sc.cluster.enlarge_pct = pct;
+        run(&sc).run.metrics.energy
     };
-    let e0 = run(0);
-    let e125 = run(125);
+    let e0 = energy(0);
+    let e125 = energy(125);
     assert!(
         e125.idle_cpu_secs > e0.idle_cpu_secs,
         "a much larger machine must idle more: {} vs {}",
@@ -110,18 +104,15 @@ fn table3_regimes_hold_at_small_scale() {
 fn enlarged_dvfs_beats_baseline_energy_at_20_percent() {
     // The headline claim: +20 % machine + power-aware scheduling can cut
     // computational energy substantially while holding performance.
-    let w = TraceProfile::sdsc_blue().generate(27, 1200);
-    let cfg = PowerAwareConfig {
-        bsld_threshold: 2.0,
-        wq_threshold: WqThreshold::Limit(0),
+    let base_sc = Scenario::synthetic("blue", ProfileName::SdscBlue, 1200, 27);
+    let base = run(&base_sc).run.metrics;
+    let dvfs = |pct: u32| {
+        let mut sc = base_sc.clone();
+        sc.policy = bsld(2.0, WqThreshold::Limit(0));
+        sc.cluster.enlarge_pct = pct;
+        run(&sc).run.metrics
     };
-    let sim0 = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let base = sim0.run_baseline(&w.jobs).unwrap().metrics;
-    let dvfs20 = sim0
-        .enlarged(20)
-        .run_power_aware(&w.jobs, &cfg)
-        .unwrap()
-        .metrics;
+    let dvfs20 = dvfs(20);
     let norm = dvfs20.energy.normalized_computational(&base.energy);
     assert!(
         norm < 0.95,
@@ -130,11 +121,7 @@ fn enlarged_dvfs_beats_baseline_energy_at_20_percent() {
     // The performance crossover: by +50% the power-aware run must beat the
     // original-size baseline (the paper reports the crossover at +10–20 %;
     // our synthetic SDSC-Blue sits closer to saturation and crosses later).
-    let dvfs50 = sim0
-        .enlarged(50)
-        .run_power_aware(&w.jobs, &cfg)
-        .unwrap()
-        .metrics;
+    let dvfs50 = dvfs(50);
     assert!(
         dvfs50.avg_bsld <= base.avg_bsld,
         "+50% DVFS must beat the original baseline: {} vs {}",

@@ -11,16 +11,25 @@
 //! `RunResult::pass_stats`).
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
-use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
+use bsld::core::scenario::{PolicySpec, ProfileName, RunCtx, Scenario};
+use bsld::core::{PowerAwareConfig, RunResult, Simulator, WqThreshold};
 use bsld::model::Job;
+use bsld::sched::SchedMode;
 use bsld::simkernel::Time;
-use bsld::workload::profiles::TraceProfile;
 
 const AB_JOBS: usize = 250;
 const AB_SEED: u64 = 2010;
 
-fn grid_profiles() -> Vec<TraceProfile> {
-    TraceProfile::paper_five()
+fn scenario(profile: ProfileName) -> Scenario {
+    Scenario::synthetic(profile.display_name(), profile, AB_JOBS, AB_SEED)
+}
+
+/// Runs `sc` on the incremental engine and on the full re-scan oracle.
+fn incremental_and_oracle(sc: &Scenario) -> (RunResult, RunResult) {
+    let mut oracle = sc.clone();
+    oracle.engine.incremental = false;
+    let ctx = RunCtx::default();
+    (sc.run(&ctx).unwrap().run, oracle.run(&ctx).unwrap().run)
 }
 
 #[test]
@@ -33,18 +42,10 @@ fn grid_outcomes_bit_identical() {
         WqThreshold::Limit(16),
         WqThreshold::NoLimit,
     ];
-    for profile in grid_profiles() {
-        let w = profile.generate(AB_SEED, AB_JOBS);
-        let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-        let oracle = sim.clone().with_full_rescan();
-
-        let a = sim.run_baseline(&w.jobs).unwrap();
-        let b = oracle.run_baseline(&w.jobs).unwrap();
-        assert_eq!(
-            a.outcomes, b.outcomes,
-            "{}: baseline diverged",
-            w.cluster_name
-        );
+    for profile in ProfileName::ALL {
+        let mut sc = scenario(profile);
+        let (a, b) = incremental_and_oracle(&sc);
+        assert_eq!(a.outcomes, b.outcomes, "{}: baseline diverged", sc.name);
 
         for bt in thresholds {
             for wq in wqs {
@@ -52,13 +53,13 @@ fn grid_outcomes_bit_identical() {
                     bsld_threshold: bt,
                     wq_threshold: wq,
                 };
-                let a = sim.run_power_aware(&w.jobs, &cfg).unwrap();
-                let b = oracle.run_power_aware(&w.jobs, &cfg).unwrap();
+                sc.policy = PolicySpec::from(cfg);
+                let (a, b) = incremental_and_oracle(&sc);
                 assert_eq!(
                     a.outcomes,
                     b.outcomes,
                     "{}: diverged at {}",
-                    w.cluster_name,
+                    sc.name,
                     cfg.label()
                 );
             }
@@ -70,27 +71,22 @@ fn grid_outcomes_bit_identical() {
 fn enlarged_outcomes_bit_identical() {
     // The enlarged-systems sweep shape: BSLD threshold 2, WQ ∈ {0, NO},
     // machine enlarged by the paper's sizes.
-    for profile in [TraceProfile::sdsc_blue(), TraceProfile::ctc()] {
-        let w = profile.generate(AB_SEED, AB_JOBS);
-        let base = Simulator::paper_default(&w.cluster_name, w.cpus);
+    for profile in [ProfileName::SdscBlue, ProfileName::Ctc] {
+        let mut sc = scenario(profile);
         for pct in [10, 50, 125] {
             for wq in [WqThreshold::Limit(0), WqThreshold::NoLimit] {
                 let cfg = PowerAwareConfig {
                     bsld_threshold: 2.0,
                     wq_threshold: wq,
                 };
-                let sim = base.enlarged(pct);
-                let a = sim.run_power_aware(&w.jobs, &cfg).unwrap();
-                let b = sim
-                    .clone()
-                    .with_full_rescan()
-                    .run_power_aware(&w.jobs, &cfg)
-                    .unwrap();
+                sc.policy = PolicySpec::from(cfg);
+                sc.cluster.enlarge_pct = pct;
+                let (a, b) = incremental_and_oracle(&sc);
                 assert_eq!(
                     a.outcomes,
                     b.outcomes,
                     "{} +{}%: diverged at {}",
-                    w.cluster_name,
+                    sc.name,
                     pct,
                     cfg.label()
                 );
@@ -101,14 +97,9 @@ fn enlarged_outcomes_bit_identical() {
 
 #[test]
 fn conservative_outcomes_bit_identical() {
-    let w = TraceProfile::sdsc().generate(AB_SEED, AB_JOBS);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus).with_conservative();
-    let a = sim.run_baseline(&w.jobs).unwrap();
-    let b = sim
-        .clone()
-        .with_full_rescan()
-        .run_baseline(&w.jobs)
-        .unwrap();
+    let mut sc = scenario(ProfileName::Sdsc);
+    sc.engine.mode = SchedMode::Conservative;
+    let (a, b) = incremental_and_oracle(&sc);
     assert_eq!(a.outcomes, b.outcomes);
 }
 
@@ -133,9 +124,13 @@ fn saturated_load_halves_profile_rebuilds() {
     // 10k jobs): outcomes identical, and the incremental engine performs
     // at least 2x fewer full profile rebuilds than the oracle.
     let jobs = saturated_workload(2_000);
+    // Hand-built jobs: the baseline scenario's kernel runs them directly.
+    let baseline = Scenario::synthetic("saturated", ProfileName::Ctc, 0, 0);
     let sim = Simulator::paper_default("saturated", 32);
-    let incr = sim.run_baseline(&jobs).unwrap();
-    let full = sim.clone().with_full_rescan().run_baseline(&jobs).unwrap();
+    let mut oracle = sim.clone();
+    oracle.engine.incremental = false;
+    let incr = baseline.run_prepared(&sim, &jobs).unwrap().run;
+    let full = baseline.run_prepared(&oracle, &jobs).unwrap().run;
 
     assert_eq!(incr.outcomes, full.outcomes, "outcomes must be identical");
     assert_eq!(full.pass_stats.passes_skipped, 0);

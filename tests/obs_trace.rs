@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 
 use bsld::core::experiments::{grid, ExpOptions};
-use bsld::core::scenario::{ProfileName, Scenario};
+use bsld::core::scenario::{ProfileName, RunCtx, Scenario};
 use bsld::metrics::Json;
 use bsld::obs::BufferSink;
 
@@ -121,9 +121,14 @@ fn trace_plane_carries_no_wall_clock_fields() {
 #[test]
 fn attaching_a_sink_does_not_change_results() {
     let sc = Scenario::synthetic("obs", ProfileName::SdscBlue, 200, 7);
-    let plain = sc.run().unwrap();
+    let plain = sc.run(&RunCtx::default()).unwrap();
     let sink = BufferSink::shared();
-    let traced = sc.run_with_sink(sink.clone()).unwrap();
+    let traced = sc
+        .run(&RunCtx {
+            sink: Some(sink.clone()),
+            ..RunCtx::default()
+        })
+        .unwrap();
     let (p, t) = (&plain.run.metrics, &traced.run.metrics);
     assert_eq!(p.avg_bsld, t.avg_bsld);
     assert_eq!(p.avg_wait_secs, t.avg_wait_secs);
@@ -153,8 +158,9 @@ fn attaching_a_sink_does_not_change_results() {
 #[test]
 fn phase_profiling_reports_sane_wall_times() {
     let sc = Scenario::synthetic("phase", ProfileName::Ctc, 100, 3);
-    let (res, phases) = sc.run_phased_with_abort(None);
-    res.unwrap();
+    let ctx = RunCtx::default();
+    sc.run(&ctx).unwrap();
+    let phases = ctx.phases.get();
     for (name, v) in [
         ("parse_s", phases.parse_s),
         ("build_s", phases.build_s),

@@ -5,41 +5,32 @@
 //! workloads.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
-use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
+mod common;
+
+use bsld::core::scenario::{PolicySpec, ProfileName, Scenario};
+use bsld::core::{PowerAwareConfig, WqThreshold};
 use bsld::model::GearId;
 use bsld::sched::validate_schedule;
-use bsld::workload::profiles::TraceProfile;
-
-fn cfg(bsld: f64, wq: WqThreshold) -> PowerAwareConfig {
-    PowerAwareConfig {
-        bsld_threshold: bsld,
-        wq_threshold: wq,
-    }
-}
+use common::{bsld, run, scaled};
 
 #[test]
 fn single_idle_job_runs_at_lowest_gear() {
     // One long job on an empty machine: predicted BSLD at the lowest gear
     // is Coef(0.8 GHz) ≈ 1.94 ≤ 2 → the policy must pick gear 0.
-    let w = TraceProfile::sdsc_blue().scaled_cpus(32).generate(1, 1);
-    let sim = Simulator::paper_default("t", 32);
-    let res = sim
-        .run_power_aware(&w.jobs, &cfg(2.0, WqThreshold::NoLimit))
-        .unwrap();
+    let mut sc = scaled(ProfileName::SdscBlue, 32, 1, 1);
+    sc.policy = bsld(2.0, WqThreshold::NoLimit);
+    let res = run(&sc).run;
     assert_eq!(res.outcomes[0].gear, GearId(0));
     assert_eq!(res.metrics.reduced_jobs, 1);
 }
 
 #[test]
 fn tight_threshold_reduces_fewer_jobs() {
-    let w = TraceProfile::sdsc_blue().scaled_cpus(64).generate(3, 400);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let strict = sim
-        .run_power_aware(&w.jobs, &cfg(1.2, WqThreshold::NoLimit))
-        .unwrap();
-    let loose = sim
-        .run_power_aware(&w.jobs, &cfg(3.0, WqThreshold::NoLimit))
-        .unwrap();
+    let mut sc = scaled(ProfileName::SdscBlue, 64, 3, 400);
+    sc.policy = bsld(1.2, WqThreshold::NoLimit);
+    let strict = run(&sc).run;
+    sc.policy = bsld(3.0, WqThreshold::NoLimit);
+    let loose = run(&sc).run;
     assert!(
         strict.metrics.reduced_jobs <= loose.metrics.reduced_jobs,
         "{} > {}",
@@ -54,14 +45,11 @@ fn wq_limit_ordering_on_energy() {
     // For a fixed BSLD threshold, relaxing the WQ limit can only admit more
     // DVFS: energy at WQ=NO ≤ energy at WQ=16 ≤ ... is the paper's
     // observation (it holds in expectation; we assert the endpoints).
-    let w = TraceProfile::sdsc_blue().scaled_cpus(64).generate(5, 500);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
+    let sc = scaled(ProfileName::SdscBlue, 64, 5, 500);
     let e = |wq| {
-        sim.run_power_aware(&w.jobs, &cfg(2.0, wq))
-            .unwrap()
-            .metrics
-            .energy
-            .computational
+        let mut sc = sc.clone();
+        sc.policy = bsld(2.0, wq);
+        run(&sc).run.metrics.energy.computational
     };
     let e0 = e(WqThreshold::Limit(0));
     let eno = e(WqThreshold::NoLimit);
@@ -76,17 +64,15 @@ fn saturated_machine_gets_no_savings() {
     // The SDSC phenomenon: a machine under heavy backlog has such high
     // predicted BSLDs that the policy cannot reduce jobs. Use the full-size
     // SDSC profile (128 cpus) so the backlog dynamics match the paper's.
-    let w = TraceProfile::sdsc().generate(2010, 4000);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let base = sim.run_baseline(&w.jobs).unwrap();
+    let mut sc = Scenario::synthetic("sdsc", ProfileName::Sdsc, 4000, 2010);
+    let base = run(&sc).run;
     assert!(
         base.metrics.avg_bsld > 10.0,
         "workload must be saturated, got {}",
         base.metrics.avg_bsld
     );
-    let dvfs = sim
-        .run_power_aware(&w.jobs, &cfg(2.0, WqThreshold::Limit(16)))
-        .unwrap();
+    sc.policy = bsld(2.0, WqThreshold::Limit(16));
+    let dvfs = run(&sc).run;
     let norm = dvfs
         .metrics
         .energy
@@ -95,7 +81,7 @@ fn saturated_machine_gets_no_savings() {
         norm > 0.9,
         "saturated workloads should save almost nothing, normalized = {norm}"
     );
-    let frac = dvfs.metrics.reduced_jobs as f64 / w.jobs.len() as f64;
+    let frac = dvfs.metrics.reduced_jobs as f64 / 4000.0;
     assert!(
         frac < 0.5,
         "most jobs must stay at top frequency, reduced {frac}"
@@ -104,13 +90,10 @@ fn saturated_machine_gets_no_savings() {
 
 #[test]
 fn reduced_jobs_run_longer_but_schedule_stays_valid() {
-    let w = TraceProfile::llnl_thunder()
-        .scaled_cpus(128)
-        .generate(9, 400);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let res = sim
-        .run_power_aware(&w.jobs, &cfg(3.0, WqThreshold::NoLimit))
-        .unwrap();
+    let mut sc = scaled(ProfileName::LlnlThunder, 128, 9, 400);
+    sc.policy = bsld(3.0, WqThreshold::NoLimit);
+    let w = sc.build_workload().unwrap();
+    let res = run(&sc).run;
     validate_schedule(&res.outcomes, w.cpus).unwrap();
     let top = GearId(5);
     for o in &res.outcomes {
@@ -129,12 +112,10 @@ fn reduced_jobs_run_longer_but_schedule_stays_valid() {
 
 #[test]
 fn policy_never_starts_jobs_early_or_shrinks_work() {
-    let w = TraceProfile::ctc().scaled_cpus(64).generate(11, 500);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let base = sim.run_baseline(&w.jobs).unwrap();
-    let dvfs = sim
-        .run_power_aware(&w.jobs, &cfg(2.0, WqThreshold::NoLimit))
-        .unwrap();
+    let mut sc = scaled(ProfileName::Ctc, 64, 11, 500);
+    let base = run(&sc).run;
+    sc.policy = bsld(2.0, WqThreshold::NoLimit);
+    let dvfs = run(&sc).run;
     // Aggregate dilation: total busy time under DVFS >= baseline.
     assert!(dvfs.metrics.energy.busy_cpu_secs >= base.metrics.energy.busy_cpu_secs);
     // Per-job arrival sanity under both.
@@ -148,12 +129,10 @@ fn energy_saving_band_matches_paper_on_midload_workload() {
     // The paper's headline: 7–18 % average CPU energy reduction. SDSC-Blue
     // (mid load) with the medium config must land in a generous band around
     // that range.
-    let w = TraceProfile::sdsc_blue().generate(2010, 1500);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let base = sim.run_baseline(&w.jobs).unwrap();
-    let dvfs = sim
-        .run_power_aware(&w.jobs, &PowerAwareConfig::medium())
-        .unwrap();
+    let mut sc = Scenario::synthetic("blue", ProfileName::SdscBlue, 1500, 2010);
+    let base = run(&sc).run;
+    sc.policy = PolicySpec::from(PowerAwareConfig::medium());
+    let dvfs = run(&sc).run;
     let saving = 1.0
         - dvfs
             .metrics
@@ -169,18 +148,12 @@ fn energy_saving_band_matches_paper_on_midload_workload() {
 fn boost_extension_bounds_wait_inflation() {
     // With dynamic boost at a tight queue limit, the DVFS-induced wait
     // inflation must shrink relative to the un-boosted policy.
-    let w = TraceProfile::llnl_thunder()
-        .scaled_cpus(96)
-        .generate(13, 500);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let c = cfg(3.0, WqThreshold::NoLimit);
-    let plain = sim.run_power_aware(&w.jobs, &c).unwrap();
-    let boosted = sim
-        .clone()
-        .with_boost(2)
-        .run_power_aware(&w.jobs, &c)
-        .unwrap();
-    validate_schedule(&boosted.outcomes, w.cpus).unwrap();
+    let mut sc = scaled(ProfileName::LlnlThunder, 96, 13, 500);
+    sc.policy = bsld(3.0, WqThreshold::NoLimit);
+    let plain = run(&sc).run;
+    sc.power.boost = Some(2);
+    let boosted = run(&sc).run;
+    validate_schedule(&boosted.outcomes, 96).unwrap();
     assert!(
         boosted.metrics.avg_wait_secs <= plain.metrics.avg_wait_secs + 1.0,
         "boost must not increase waits: {} vs {}",

@@ -18,10 +18,11 @@
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use bsld::cluster::GearSet;
-use bsld::core::scenario::{PowerModelSpec, ProfileName, Scenario, WorkloadSpec};
-use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
+use bsld::core::scenario::{
+    PolicySpec, PowerModelSpec, ProfileName, RunCtx, Scenario, WorkloadSpec,
+};
+use bsld::core::{PowerAwareConfig, WqThreshold};
 use bsld::power::{Constant, Linear, PaperDvfs, PowerModel, Rail, RailKind, RailSet};
-use bsld::workload::profiles::TraceProfile;
 
 const AB_JOBS: usize = 250;
 const AB_SEED: u64 = 2010;
@@ -102,14 +103,21 @@ fn grid_outcomes_unchanged_by_rail_split() {
         WqThreshold::Limit(16),
         WqThreshold::NoLimit,
     ];
-    for profile in TraceProfile::paper_five() {
-        let w = profile.generate(AB_SEED, AB_JOBS);
-        let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
+    for profile in ProfileName::ALL {
+        let mut sc = Scenario::synthetic("ab", profile, AB_JOBS, AB_SEED);
+        let w = sc.build_workload().unwrap();
+        let sim = sc.simulator(&w).unwrap();
         let mut railed = sim.clone();
         railed.power = three_rail(&GearSet::paper());
+        // Both machines run the same scenario kernel over the same jobs.
+        let both = |sc: &Scenario| {
+            (
+                sc.run_prepared(&sim, &w.jobs).unwrap().run,
+                sc.run_prepared(&railed, &w.jobs).unwrap().run,
+            )
+        };
 
-        let a = sim.run_baseline(&w.jobs).unwrap();
-        let b = railed.run_baseline(&w.jobs).unwrap();
+        let (a, b) = both(&sc);
         assert_eq!(
             a.outcomes, b.outcomes,
             "{}: baseline diverged",
@@ -122,8 +130,8 @@ fn grid_outcomes_unchanged_by_rail_split() {
                     bsld_threshold: bt,
                     wq_threshold: wq,
                 };
-                let a = sim.run_power_aware(&w.jobs, &cfg).unwrap();
-                let b = railed.run_power_aware(&w.jobs, &cfg).unwrap();
+                sc.policy = PolicySpec::from(cfg);
+                let (a, b) = both(&sc);
                 assert_eq!(
                     a.outcomes,
                     b.outcomes,
@@ -152,15 +160,15 @@ fn scenario_model_paper_is_reporting_only() {
                 *scale_cpus = Some(64);
             }
         });
-        sc.policy = bsld::core::scenario::PolicySpec::BsldThreshold {
+        sc.policy = PolicySpec::BsldThreshold {
             th,
             wq: WqThreshold::NoLimit,
         };
         sc.power.observe = true;
 
-        let default_run = sc.run().unwrap();
+        let default_run = sc.run(&RunCtx::default()).unwrap();
         sc.power.model = Some(PowerModelSpec::Paper);
-        let paper_run = sc.run().unwrap();
+        let paper_run = sc.run(&RunCtx::default()).unwrap();
 
         assert_eq!(
             default_run.run.outcomes, paper_run.run.outcomes,

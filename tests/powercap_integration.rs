@@ -4,44 +4,62 @@
 //! power-series writers.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
-use bsld::core::{PowerAwareConfig, PowerCapConfig, Simulator, WqThreshold};
-use bsld::metrics::series::{resample_power_series, write_power_series};
-use bsld::powercap::SleepConfig;
-use bsld::sched::validate_schedule;
-use bsld::workload::profiles::TraceProfile;
+mod common;
 
-fn workload() -> bsld::workload::Workload {
-    TraceProfile::sdsc_blue().scaled_cpus(64).generate(47, 300)
+use bsld::core::scenario::{PolicySpec, ProfileName, RunCtx, Scenario, SleepSpec};
+use bsld::core::{PowerAwareConfig, RunResult, Simulator, WqThreshold};
+use bsld::metrics::series::{resample_power_series, write_power_series};
+use bsld::powercap::PowerReport;
+use bsld::sched::{validate_schedule, SchedMode};
+use common::{bsld, scaled};
+
+const JOBS: usize = 300;
+const CPUS: u32 = 64;
+
+/// 300 SDSC-Blue-like jobs on 64 cpus with the power ledger observing.
+fn observed() -> Scenario {
+    let mut sc = scaled(ProfileName::SdscBlue, CPUS, 47, JOBS);
+    sc.power.observe = true;
+    sc
+}
+
+/// Runs an observed scenario, returning the run and its power report.
+fn run(sc: &Scenario) -> (RunResult, PowerReport) {
+    let r = common::run(sc);
+    (r.run, r.power.expect("observed runs report power"))
 }
 
 #[test]
 fn ledger_cross_validates_against_energy_report() {
-    let w = workload();
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    for cfg in [
-        PowerCapConfig::observe_only(),
-        PowerCapConfig::observe_only().with_policy(PowerAwareConfig::medium()),
+    let mut sc = observed();
+    for policy in [
+        PolicySpec::Baseline,
+        PolicySpec::from(PowerAwareConfig::medium()),
     ] {
-        let r = sim.run_power_capped(&w.jobs, &cfg).unwrap();
+        sc.policy = policy;
+        let (run, power) = run(&sc);
         // With no sleeping, the ledger integral over [0, makespan] is the
         // idle-aware energy scenario computed post hoc from the outcomes.
-        let rel = r.power.energy / r.run.metrics.energy.with_idle;
+        let rel = power.energy / run.metrics.energy.with_idle;
         assert!((rel - 1.0).abs() < 1e-9, "ledger/post-hoc = {rel}");
     }
 }
 
 #[test]
 fn hard_cap_holds_for_dvfs_and_baseline() {
-    let w = workload();
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    for (fraction, policy) in [(0.5, None), (0.7, Some(PowerAwareConfig::medium()))] {
-        let mut cfg = PowerCapConfig::hard(fraction).with_sleep(SleepConfig::paper_default());
-        cfg.policy = policy;
-        let r = sim.run_power_capped(&w.jobs, &cfg).unwrap();
-        assert_eq!(r.run.outcomes.len(), w.jobs.len());
-        validate_schedule(&r.run.outcomes, w.cpus).unwrap();
-        let budget = r.power.budget.unwrap();
-        for &(t, p) in &r.power.series {
+    let mut sc = observed();
+    sc.power.sleep = SleepSpec::Paper;
+    for (fraction, policy) in [
+        (0.5, PolicySpec::Baseline),
+        (0.7, PolicySpec::from(PowerAwareConfig::medium())),
+    ] {
+        sc.power.cap_fraction = Some(fraction);
+        sc.policy = policy;
+        let (run, power) = run(&sc);
+        assert_eq!(run.outcomes.len(), JOBS);
+        validate_schedule(&run.outcomes, CPUS).unwrap();
+        let budget = power.budget.unwrap();
+        for &(t, p) in &power.series {
             assert!(p <= budget + 1e-6, "{p} > {budget} at t={t}");
         }
     }
@@ -49,45 +67,39 @@ fn hard_cap_holds_for_dvfs_and_baseline() {
 
 #[test]
 fn soft_cap_records_violations_instead_of_stalling() {
-    let w = workload();
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
     // A budget at the idle floor is infeasible for a hard cap…
-    let hard = PowerCapConfig::hard(0.15);
-    assert!(sim.run_power_capped(&w.jobs, &hard).is_err());
+    let mut sc = observed();
+    sc.power.cap_fraction = Some(0.15);
+    assert!(sc.run(&RunCtx::default()).is_err());
     // …but a soft cap escapes through the queue-depth hatch and finishes.
-    let soft = PowerCapConfig::hard(0.15).with_soft_escape(4);
-    let r = sim.run_power_capped(&w.jobs, &soft).unwrap();
-    assert_eq!(r.run.outcomes.len(), w.jobs.len());
-    assert!(r.power.cap.soft_violations > 0);
-    let budget = r.power.budget.unwrap();
-    assert!(
-        r.power.peak > budget,
-        "violations imply an over-budget peak"
-    );
+    sc.power.soft_wq_escape = Some(4);
+    let (run, power) = run(&sc);
+    assert_eq!(run.outcomes.len(), JOBS);
+    assert!(power.cap.soft_violations > 0);
+    let budget = power.budget.unwrap();
+    assert!(power.peak > budget, "violations imply an over-budget peak");
 }
 
 #[test]
 fn conservative_mode_caps_without_stalling() {
-    let w = workload();
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus).with_conservative();
+    let mut sc = observed();
+    sc.engine.mode = SchedMode::Conservative;
     // Hard cap with room for down-gearing: must complete and hold.
-    let hard = sim
-        .run_power_capped(
-            &w.jobs,
-            &PowerCapConfig::hard(0.5).with_policy(PowerAwareConfig::medium()),
-        )
-        .unwrap();
-    assert_eq!(hard.run.outcomes.len(), w.jobs.len());
-    let budget = hard.power.budget.unwrap();
-    for &(t, p) in &hard.power.series {
+    let mut hard = sc.clone();
+    hard.power.cap_fraction = Some(0.5);
+    hard.policy = PolicySpec::from(PowerAwareConfig::medium());
+    let (run_hard, power) = run(&hard);
+    assert_eq!(run_hard.outcomes.len(), JOBS);
+    let budget = power.budget.unwrap();
+    for &(t, p) in &power.series {
         assert!(p <= budget + 1e-6, "{p} > {budget} at t={t}");
     }
     // A soft cap never stalls, even at an infeasible budget.
-    let soft = sim
-        .run_power_capped(&w.jobs, &PowerCapConfig::hard(0.15).with_soft_escape(4))
-        .unwrap();
-    assert_eq!(soft.run.outcomes.len(), w.jobs.len());
-    assert!(soft.power.cap.soft_violations > 0);
+    sc.power.cap_fraction = Some(0.15);
+    sc.power.soft_wq_escape = Some(4);
+    let (run_soft, power) = run(&sc);
+    assert_eq!(run_soft.outcomes.len(), JOBS);
+    assert!(power.cap.soft_violations > 0);
 }
 
 #[test]
@@ -95,18 +107,15 @@ fn boost_with_cap_and_sleep_keeps_ledger_within_makespan() {
     // Boost re-times running jobs, leaving stale completion events later
     // than the real makespan; the ledger must never advance past the end
     // of the run on their account.
-    let w = workload();
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus).with_boost(2);
-    let cfg = PowerCapConfig::hard(0.8)
-        .with_sleep(SleepConfig::paper_default())
-        .with_policy(PowerAwareConfig {
-            bsld_threshold: 3.0,
-            wq_threshold: WqThreshold::NoLimit,
-        });
-    let r = sim.run_power_capped(&w.jobs, &cfg).unwrap();
-    assert_eq!(r.run.outcomes.len(), w.jobs.len());
-    let makespan = r.run.metrics.makespan_secs;
-    let last = r.power.series.last().unwrap().0;
+    let mut sc = observed();
+    sc.power.boost = Some(2);
+    sc.power.cap_fraction = Some(0.8);
+    sc.power.sleep = SleepSpec::Paper;
+    sc.policy = bsld(3.0, WqThreshold::NoLimit);
+    let (run, power) = run(&sc);
+    assert_eq!(run.outcomes.len(), JOBS);
+    let makespan = run.metrics.makespan_secs;
+    let last = power.series.last().unwrap().0;
     assert!(
         last <= makespan,
         "series entry at t={last} past makespan {makespan}"
@@ -115,37 +124,29 @@ fn boost_with_cap_and_sleep_keeps_ledger_within_makespan() {
 
 #[test]
 fn capping_trades_bsld_for_power() {
-    let w = workload();
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let loose = sim
-        .run_power_capped(&w.jobs, &PowerCapConfig::hard(1.0))
-        .unwrap();
-    let tight = sim
-        .run_power_capped(&w.jobs, &PowerCapConfig::hard(0.45))
-        .unwrap();
+    let mut sc = observed();
+    sc.power.cap_fraction = Some(1.0);
+    let (loose, loose_power) = run(&sc);
+    sc.power.cap_fraction = Some(0.45);
+    let (tight, tight_power) = run(&sc);
     assert!(
-        tight.power.peak <= loose.power.peak + 1e-9,
+        tight_power.peak <= loose_power.peak + 1e-9,
         "a tighter cap cannot raise peak draw"
     );
     assert!(
-        tight.run.metrics.avg_bsld >= loose.run.metrics.avg_bsld - 1e-9,
+        tight.metrics.avg_bsld >= loose.metrics.avg_bsld - 1e-9,
         "power capping cannot improve BSLD: {} vs {}",
-        tight.run.metrics.avg_bsld,
-        loose.run.metrics.avg_bsld
+        tight.metrics.avg_bsld,
+        loose.metrics.avg_bsld
     );
 }
 
 #[test]
 fn power_series_is_a_well_formed_step_function() {
-    let w = workload();
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let r = sim
-        .run_power_capped(
-            &w.jobs,
-            &PowerCapConfig::observe_only().with_sleep(SleepConfig::paper_default()),
-        )
-        .unwrap();
-    let series = &r.power.series;
+    let mut sc = observed();
+    sc.power.sleep = SleepSpec::Paper;
+    let (run, power) = run(&sc);
+    let series = &power.series;
     assert!(!series.is_empty());
     assert_eq!(series[0].0, 0, "series starts at t=0");
     for w2 in series.windows(2) {
@@ -163,7 +164,7 @@ fn power_series_is_a_well_formed_step_function() {
     assert!(text.starts_with("time_s,power"));
 
     // Resampling preserves the integral over the covered span.
-    let end = r.run.metrics.makespan_secs;
+    let end = run.metrics.makespan_secs;
     let step = (end / 50).max(1);
     let coarse = resample_power_series(series, end, step);
     let coarse_integral: f64 = coarse
@@ -175,8 +176,8 @@ fn power_series_is_a_well_formed_step_function() {
         .sum();
     // `energy` includes wake impulses, which the power-level series does
     // not carry; add them back for the comparison.
-    let exact_integral = r.power.energy;
-    let wake = r.power.sleep.wake_energy;
+    let exact_integral = power.energy;
+    let wake = power.sleep.wake_energy;
     assert!(
         ((coarse_integral + wake) / exact_integral - 1.0).abs() < 1e-9,
         "resampled integral {coarse_integral} + wake {wake} vs exact {exact_integral}"
@@ -203,8 +204,13 @@ fn deferred_head_on_idle_machine_wakes_once_per_sleep_transition() {
         50,
         50,
     )];
-    let cfg = PowerCapConfig::hard(2.5 / 16.0).with_sleep(SleepConfig::paper_default());
-    let r = sim.run_power_capped(&jobs, &cfg).unwrap();
+    // A hand-built job: the scenario's kernel runs it on `sim`, and the
+    // spec's own workload is never built.
+    let mut sc = Scenario::synthetic("wake-test", ProfileName::Ctc, 0, 0);
+    sc.power.cap_fraction = Some(2.5 / 16.0);
+    sc.power.sleep = SleepSpec::Paper;
+    let r = sc.run_prepared(&sim, &jobs).unwrap();
+    let power = r.power.unwrap();
 
     assert_eq!(r.run.outcomes.len(), 1, "the run must not stall");
     let o = &r.run.outcomes[0];
@@ -217,7 +223,7 @@ fn deferred_head_on_idle_machine_wakes_once_per_sleep_transition() {
     // wake-up (start), and the completion. A duplicated retry event would
     // add a fourth; a swallowed one would stall.
     assert_eq!(r.run.pass_stats.passes, 3, "exactly one wake-up");
-    assert_eq!(r.power.cap.deferrals, 1, "one veto at arrival");
-    assert!(r.power.sleep.sleeps >= 1);
-    assert!(r.power.sleep.wakes >= 1);
+    assert_eq!(power.cap.deferrals, 1, "one veto at arrival");
+    assert!(power.sleep.sleeps >= 1);
+    assert!(power.sleep.wakes >= 1);
 }

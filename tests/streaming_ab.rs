@@ -1,16 +1,16 @@
 //! A/B oracles for the streaming replay data path: the streaming SWF load
-//! (`SwfStream` → `clean_swf_stream` → `Workload`) must be bit-identical
-//! to the legacy in-memory path (`read_to_string` → `parse_swf` →
-//! `clean_trace` → `Workload::from_swf`) — same jobs, same simulation
-//! outcomes, same result-file bytes, same errors.
+//! (`SwfStream` → `clean_swf_stream` → `Workload`) that every SWF scenario
+//! takes must be bit-identical to the in-memory reference pipeline spelled
+//! out here from `bsld-swf` (`parse_swf` → `clean_trace` →
+//! `Workload::from_swf`): same jobs, same simulation outcomes, same
+//! result-table bytes, same errors.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
-use bsld::core::campaign::{run_campaign, CampaignOptions, RESULTS_FILE};
-use bsld::core::scenario::{run_many, ScenarioSet, WorkloadSpec};
-use bsld::core::{set_swf_in_memory, sweep_report, CellOutcome};
+use bsld::core::scenario::{run_many, ScenarioError, ScenarioSet, WorkloadSpec};
+use bsld::core::{sweep_report, CellOutcome};
 use bsld::workload::profiles::TraceProfile;
 use bsld::workload::Workload;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A scratch directory unique to this test (parallel tests must not
 /// collide), removed on drop.
@@ -44,6 +44,14 @@ fn profiles() -> Vec<(&'static str, TraceProfile)> {
     ]
 }
 
+/// The in-memory reference pipeline: parse, clean, convert.
+fn reference_workload(path: &Path, text: &str) -> Workload {
+    let mut trace = bsld::swf::parse_swf(text).unwrap();
+    bsld::swf::clean_trace(&mut trace, &bsld::swf::CleanConfig::default());
+    let name = path.file_stem().and_then(|s| s.to_str()).unwrap();
+    Workload::from_swf(name, &trace)
+}
+
 fn assert_same_workload(a: &Workload, b: &Workload, tag: &str) {
     assert_eq!(a.cpus, b.cpus, "{tag}: cpus");
     assert_eq!(a.cluster_name, b.cluster_name, "{tag}: name");
@@ -74,12 +82,7 @@ fn five_profiles_stream_and_in_memory_builds_are_bit_identical() {
             clean: true,
         };
         let streamed = spec.build().unwrap();
-
-        // The legacy path, spelled out: slurp, parse, clean, convert.
-        let mut trace = bsld::swf::parse_swf(&text).unwrap();
-        bsld::swf::clean_trace(&mut trace, &bsld::swf::CleanConfig::default());
-        let name = path.file_stem().and_then(|s| s.to_str()).unwrap();
-        let in_memory = Workload::from_swf(name, &trace);
+        let in_memory = reference_workload(&path, &text);
 
         assert_same_workload(&streamed, &in_memory, key);
         assert!(!streamed.jobs.is_empty(), "{key}: replay must keep jobs");
@@ -106,80 +109,57 @@ fn unclean_replay_matches_raw_parse() {
     assert_same_workload(&streamed, &in_memory, "unclean");
 }
 
-/// The end-to-end oracle behind the CLI's `--swf-in-memory` flag: the same
-/// scenario sweep run through both load paths yields byte-identical result
-/// tables and `scenario_results.csv` contents.
+/// The end-to-end oracle: a scenario sweep over an SWF trace, run through
+/// the streaming load, yields byte-identical result tables and
+/// `scenario_results.csv` contents to the same cells run by the scenario
+/// kernel over the reference workload.
 #[test]
-fn scenario_sweep_is_byte_identical_under_the_toggle() {
+fn scenario_sweep_matches_the_reference_workload() {
     let scratch = Scratch::new("sweep");
     let path = scratch.path("sweep.swf");
     let w = TraceProfile::ctc().scaled_cpus(64).generate(11, 300);
-    std::fs::write(&path, bsld::swf::write_swf(&w.to_swf())).unwrap();
+    let text = bsld::swf::write_swf(&w.to_swf());
+    std::fs::write(&path, &text).unwrap();
 
     let scn = format!(
         "scenario = ab\nworkload = swf\nswf_path = {}\nsweep.bsld_th = 1.5 3\n",
         path.display()
     );
-    let render = || {
-        let set = ScenarioSet::parse(&scn).unwrap();
-        let cells = set.expand().unwrap();
+    let cells = ScenarioSet::parse(&scn).unwrap().expand().unwrap();
+    let render = |results: Vec<Result<CellOutcome, String>>| {
         let rows: Vec<(String, Result<CellOutcome, String>)> = cells
             .iter()
-            .zip(run_many(&cells, 1))
-            .map(|(sc, res)| {
-                (
-                    sc.name.clone(),
-                    res.map(|r| CellOutcome::of(&r)).map_err(|e| e.to_string()),
-                )
-            })
+            .map(|sc| sc.name.clone())
+            .zip(results)
             .collect();
         let report = sweep_report(&rows);
         (report.table, report.csv)
     };
 
-    let streaming = render();
-    set_swf_in_memory(true);
-    let in_memory = render();
-    set_swf_in_memory(false);
+    let streaming = render(
+        run_many(&cells, 1)
+            .into_iter()
+            .map(|res| res.map(|r| CellOutcome::of(&r)).map_err(|e| e.to_string()))
+            .collect(),
+    );
+    let reference = reference_workload(&path, &text);
+    let in_memory = render(
+        cells
+            .iter()
+            .map(|sc| {
+                let sim = sc.simulator(&reference).unwrap();
+                let res = sc.run_prepared(&sim, &reference.jobs);
+                res.map(|r| CellOutcome::of(&r)).map_err(|e| e.to_string())
+            })
+            .collect(),
+    );
     assert_eq!(streaming.0, in_memory.0, "result tables diverged");
     assert_eq!(streaming.1, in_memory.1, "scenario_results.csv diverged");
 }
 
-/// The campaign layer under the toggle: manifest-backed runs of the same
-/// replay produce byte-identical `campaign_results.csv` files.
-#[test]
-fn campaign_results_are_byte_identical_under_the_toggle() {
-    let scratch = Scratch::new("campaign");
-    let path = scratch.path("campaign.swf");
-    let w = TraceProfile::sdsc_blue().scaled_cpus(64).generate(5, 250);
-    std::fs::write(&path, bsld::swf::write_swf(&w.to_swf())).unwrap();
-
-    let scn = format!(
-        "scenario = replay\nworkload = swf\nswf_path = {}\n",
-        path.display()
-    );
-    let run_into = |dir: PathBuf| {
-        std::fs::create_dir_all(&dir).unwrap();
-        let set = ScenarioSet::parse(&scn).unwrap();
-        let opts = CampaignOptions {
-            threads: 1,
-            dir: Some(dir.clone()),
-            resume: false,
-        };
-        run_campaign(&set, &opts, None).unwrap();
-        std::fs::read(dir.join(RESULTS_FILE)).unwrap()
-    };
-
-    let streaming = run_into(scratch.path("out-stream"));
-    set_swf_in_memory(true);
-    let in_memory = run_into(scratch.path("out-mem"));
-    set_swf_in_memory(false);
-    assert_eq!(streaming, in_memory, "campaign_results.csv diverged");
-}
-
 /// Error identity: a trace with a garbage tail (torn download) fails with
-/// the *same* error through both load paths, and a truncated final line is
-/// likewise path-independent.
+/// the reference parser's error on the same bytes, and a truncated final
+/// line likewise.
 #[test]
 fn damaged_traces_fail_identically_on_both_paths() {
     let scratch = Scratch::new("damage");
@@ -196,10 +176,9 @@ fn damaged_traces_fail_identically_on_both_paths() {
         std::fs::write(&path, &bytes).unwrap();
         let spec = WorkloadSpec::Swf { path, clean: true };
         let streaming_err = spec.build().unwrap_err().to_string();
-        set_swf_in_memory(true);
-        let in_memory_err = spec.build().unwrap_err().to_string();
-        set_swf_in_memory(false);
-        assert_eq!(streaming_err, in_memory_err, "{tag}: errors diverged");
+        let parse_err = bsld::swf::parse_swf(std::str::from_utf8(&bytes).unwrap()).unwrap_err();
+        let reference_err = ScenarioError::Workload(parse_err.to_string()).to_string();
+        assert_eq!(streaming_err, reference_err, "{tag}: errors diverged");
         assert!(
             streaming_err.contains("line"),
             "{tag}: error should locate the bad line: {streaming_err}"
@@ -207,17 +186,18 @@ fn damaged_traces_fail_identically_on_both_paths() {
     }
 }
 
-/// A missing file is the same `cannot read …` error on both paths.
+/// A missing file is the same `cannot read …` error a plain read reports.
 #[test]
 fn missing_file_error_is_path_independent() {
+    let path = PathBuf::from("/nonexistent/void.swf");
     let spec = WorkloadSpec::Swf {
-        path: PathBuf::from("/nonexistent/void.swf"),
+        path: path.clone(),
         clean: true,
     };
     let streaming_err = spec.build().unwrap_err().to_string();
-    set_swf_in_memory(true);
-    let in_memory_err = spec.build().unwrap_err().to_string();
-    set_swf_in_memory(false);
-    assert_eq!(streaming_err, in_memory_err);
+    let io_err = std::fs::read_to_string(&path).unwrap_err();
+    let reference_err =
+        ScenarioError::Io(format!("cannot read {}: {io_err}", path.display())).to_string();
+    assert_eq!(streaming_err, reference_err);
     assert!(streaming_err.contains("cannot read"), "{streaming_err}");
 }

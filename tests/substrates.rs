@@ -3,10 +3,13 @@
 //! workload scale through the facade.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
+mod common;
+
 use bsld::cluster::SelectionPolicy;
-use bsld::core::{PowerAwareConfig, Simulator};
-use bsld::sched::validate_schedule;
-use bsld::workload::profiles::TraceProfile;
+use bsld::core::scenario::{PolicySpec, ProfileName, Scenario};
+use bsld::core::{PowerAwareConfig, WqThreshold};
+use bsld::sched::{validate_schedule, SchedMode};
+use common::{bsld, run, scaled};
 
 #[test]
 fn conservative_absorbs_dvfs_feedback_better_than_easy() {
@@ -14,16 +17,11 @@ fn conservative_absorbs_dvfs_feedback_better_than_easy() {
     // duration-aware per-job reservations price the DVFS dilation into
     // every allocation, which dampens the wait-feedback loop that hurts
     // EASY at aggressive settings.
-    let w = TraceProfile::sdsc_blue().generate(2010, 1500);
-    let cfg = PowerAwareConfig::medium();
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let easy = sim.run_power_aware(&w.jobs, &cfg).unwrap().metrics;
-    let cons = sim
-        .clone()
-        .with_conservative()
-        .run_power_aware(&w.jobs, &cfg)
-        .unwrap()
-        .metrics;
+    let mut sc = Scenario::synthetic("blue", ProfileName::SdscBlue, 1500, 2010);
+    sc.policy = PolicySpec::from(PowerAwareConfig::medium());
+    let easy = run(&sc).run.metrics;
+    sc.engine.mode = SchedMode::Conservative;
+    let cons = run(&sc).run.metrics;
     assert!(
         cons.avg_bsld <= easy.avg_bsld,
         "conservative should absorb the feedback: {} vs {}",
@@ -37,15 +35,12 @@ fn conservative_absorbs_dvfs_feedback_better_than_easy() {
 
 #[test]
 fn conservative_baseline_close_to_easy_on_moderate_load() {
-    let w = TraceProfile::ctc().generate(7, 1200);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let easy = sim.run_baseline(&w.jobs).unwrap();
-    let cons = sim
-        .clone()
-        .with_conservative()
-        .run_baseline(&w.jobs)
-        .unwrap();
-    validate_schedule(&cons.outcomes, w.cpus).unwrap();
+    let mut sc = Scenario::synthetic("ctc", ProfileName::Ctc, 1200, 7);
+    let cpus = sc.build_workload().unwrap().cpus;
+    let easy = run(&sc).run;
+    sc.engine.mode = SchedMode::Conservative;
+    let cons = run(&sc).run;
+    validate_schedule(&cons.outcomes, cpus).unwrap();
     // Conservative sacrifices some backfilling; waits may rise, but the
     // schedules live in the same regime (classic EASY-vs-conservative
     // result from the backfilling literature).
@@ -55,15 +50,12 @@ fn conservative_baseline_close_to_easy_on_moderate_load() {
 
 #[test]
 fn contiguous_selection_costs_throughput() {
-    let w = TraceProfile::sdsc().generate(11, 800);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let ff = sim.run_baseline(&w.jobs).unwrap();
-    let contig = sim
-        .clone()
-        .with_selection(SelectionPolicy::ContiguousFirstFit)
-        .run_baseline(&w.jobs)
-        .unwrap();
-    validate_schedule(&contig.outcomes, w.cpus).unwrap();
+    let mut sc = Scenario::synthetic("sdsc", ProfileName::Sdsc, 800, 11);
+    let cpus = sc.build_workload().unwrap().cpus;
+    let ff = run(&sc).run;
+    sc.engine.selection = SelectionPolicy::ContiguousFirstFit;
+    let contig = run(&sc).run;
+    validate_schedule(&contig.outcomes, cpus).unwrap();
     assert!(
         contig.metrics.avg_wait_secs >= ff.metrics.avg_wait_secs,
         "fragmentation cannot reduce waits: {} vs {}",
@@ -78,18 +70,11 @@ fn selection_policy_does_not_change_energy_accounting() {
     // Last Fit is schedule-identical to First Fit, so all metrics match
     // exactly (processor identity is invisible to count-based scheduling
     // and to the homogeneous power model).
-    let w = TraceProfile::sdsc_blue().scaled_cpus(64).generate(13, 400);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let ff = sim
-        .run_power_aware(&w.jobs, &PowerAwareConfig::medium())
-        .unwrap()
-        .metrics;
-    let lf = sim
-        .clone()
-        .with_selection(SelectionPolicy::LastFit)
-        .run_power_aware(&w.jobs, &PowerAwareConfig::medium())
-        .unwrap()
-        .metrics;
+    let mut sc = scaled(ProfileName::SdscBlue, 64, 13, 400);
+    sc.policy = PolicySpec::from(PowerAwareConfig::medium());
+    let ff = run(&sc).run.metrics;
+    sc.engine.selection = SelectionPolicy::LastFit;
+    let lf = run(&sc).run.metrics;
     assert_eq!(ff.avg_bsld.to_bits(), lf.avg_bsld.to_bits());
     assert_eq!(
         ff.energy.computational.to_bits(),
@@ -100,21 +85,13 @@ fn selection_policy_does_not_change_energy_accounting() {
 
 #[test]
 fn conservative_composes_with_boost() {
-    let w = TraceProfile::llnl_thunder()
-        .scaled_cpus(96)
-        .generate(17, 400);
-    let cfg = PowerAwareConfig {
-        bsld_threshold: 3.0,
-        wq_threshold: bsld::core::WqThreshold::NoLimit,
-    };
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus).with_conservative();
-    let plain = sim.run_power_aware(&w.jobs, &cfg).unwrap();
-    let boosted = sim
-        .clone()
-        .with_boost(2)
-        .run_power_aware(&w.jobs, &cfg)
-        .unwrap();
-    validate_schedule(&boosted.outcomes, w.cpus).unwrap();
+    let mut sc = scaled(ProfileName::LlnlThunder, 96, 17, 400);
+    sc.policy = bsld(3.0, WqThreshold::NoLimit);
+    sc.engine.mode = SchedMode::Conservative;
+    let plain = run(&sc).run;
+    sc.power.boost = Some(2);
+    let boosted = run(&sc).run;
+    validate_schedule(&boosted.outcomes, 96).unwrap();
     assert!(boosted.metrics.avg_wait_secs <= plain.metrics.avg_wait_secs + 1.0);
     assert!(boosted.metrics.energy.computational >= plain.metrics.energy.computational - 1e-9);
 }

@@ -2,7 +2,8 @@
 //! simulate — plus property-based round-trips.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
-use bsld::core::Simulator;
+use bsld::core::scenario::{ProfileName, Scenario};
+use bsld::core::{RunResult, Simulator};
 use bsld::sched::validate_schedule;
 use bsld::swf::{
     clean_trace, parse_swf, select_segment, write_swf, CleanConfig, SwfHeader, SwfRecord, SwfTrace,
@@ -10,6 +11,14 @@ use bsld::swf::{
 };
 use bsld::workload::Workload;
 use proptest::prelude::*;
+
+/// The no-DVFS EASY baseline over a converted trace. The jobs are already
+/// in memory, so the baseline scenario's kernel runs them directly.
+fn simulate_baseline(w: &Workload) -> RunResult {
+    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
+    let baseline = Scenario::synthetic("swf", ProfileName::Ctc, 0, 0);
+    baseline.run_prepared(&sim, &w.jobs).unwrap().run
+}
 
 /// A synthetic SWF file exercising the whole pipeline end to end.
 #[test]
@@ -62,8 +71,7 @@ fn swf_to_simulation_pipeline() {
     // Simulate the cleaned segment.
     let w = Workload::from_swf("synthetic", &seg);
     assert_eq!(w.cpus, 16);
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let res = sim.run_baseline(&w.jobs).unwrap();
+    let res = simulate_baseline(&w);
     assert_eq!(res.outcomes.len(), w.jobs.len());
     validate_schedule(&res.outcomes, w.cpus).unwrap();
 }
@@ -162,8 +170,7 @@ fn overrunning_record_replays_with_kill_at_request() {
     let killed = killed.expect("overrunning job converted");
     assert_eq!(killed.runtime, 600, "killed at the requested limit");
 
-    let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let res = sim.run_baseline(&w.jobs).unwrap();
+    let res = simulate_baseline(&w);
     assert_eq!(res.outcomes.len(), w.jobs.len());
     validate_schedule(&res.outcomes, w.cpus).unwrap();
     let o = res
