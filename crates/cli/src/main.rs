@@ -1298,7 +1298,6 @@ fn main() -> ExitCode {
                 ablation::fcfs(opts),
                 ablation::gears(opts),
                 ablation::selection(opts),
-                ablation::engine(opts),
             ] {
                 println!("{}", a.render());
                 report_csv(a.write_csv(opts).map(|p| p.into_iter().collect()));
@@ -1343,7 +1342,6 @@ fn main() -> ExitCode {
                 ablation::fcfs(opts),
                 ablation::gears(opts),
                 ablation::selection(opts),
-                ablation::engine(opts),
             ] {
                 println!("{}", a.render());
                 report_csv(a.write_csv(opts).map(|p| p.into_iter().collect()));

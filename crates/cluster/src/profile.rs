@@ -13,16 +13,15 @@
 //!
 //! # Query complexity
 //!
-//! The segment list is the ground truth, but queries no longer scan it:
+//! The segment list is the ground truth, but queries do not scan it:
 //! every mutation eagerly rebuilds a pair of flat segment trees
 //! (`SegIndex`: range-min and range-max of per-segment availability), so
 //! [`Profile::min_available`], [`Profile::earliest_fit`] and the
 //! [`Profile::commit`] underflow validation run in O(log n) instead of
-//! O(n). Mutations were already O(n) (they splice the segment `Vec` and
+//! O(n). Mutations are O(n) anyway (they splice the segment `Vec` and
 //! coalesce), so the rebuild does not change their asymptotics. The
-//! pre-index linear implementations are kept as
-//! [`Profile::min_available_linear`] / [`Profile::earliest_fit_linear`] —
-//! the semantic oracles the indexed paths are property-tested against.
+//! property tests hold the indexed queries to linear scans over
+//! [`Profile::segments`].
 
 use bsld_simkernel::Time;
 
@@ -302,8 +301,7 @@ impl Profile {
     /// Minimum availability over the window `[start, start+dur)`.
     /// A zero-length window reads the instant `start`.
     ///
-    /// O(log n) via the range-min tree; bit-identical to
-    /// [`Profile::min_available_linear`].
+    /// O(log n) via the range-min tree.
     pub fn min_available(&self, start: Time, dur: u64) -> u32 {
         let end = start.saturating_add(dur);
         let i = self.seg_index(start);
@@ -311,20 +309,6 @@ impl Profile {
         // segments [i, j), and at least segment i even when zero-length.
         let j = self.segs.partition_point(|&(s, _)| s < end).max(i + 1);
         self.index.range_min(i, j)
-    }
-
-    /// Linear-scan reference implementation of [`Profile::min_available`]
-    /// — the semantic oracle the indexed path is property-tested against.
-    pub fn min_available_linear(&self, start: Time, dur: u64) -> u32 {
-        let end = start.saturating_add(dur);
-        let mut i = self.seg_index(start);
-        let mut min = self.segs[i].1;
-        i += 1;
-        while i < self.segs.len() && self.segs[i].0 < end {
-            min = min.min(self.segs[i].1);
-            i += 1;
-        }
-        min
     }
 
     /// Whether `cpus` processors are continuously available over
@@ -338,9 +322,7 @@ impl Profile {
     /// throughout `[t, t+dur)`, or `None` if no such time exists (only when
     /// `cpus > total` or a commitment blocks the horizon forever).
     ///
-    /// O(log n) per blocked run via the min/max tree descents;
-    /// bit-identical to [`Profile::earliest_fit_linear`], which walks every
-    /// segment of every candidate window.
+    /// O(log n) per blocked run via the min/max tree descents.
     pub fn earliest_fit(&self, cpus: u32, dur: u64, not_before: Time) -> Option<Time> {
         if cpus > self.total {
             return None;
@@ -355,48 +337,18 @@ impl Profile {
                 return Some(t);
             };
             // The candidate fits iff the first dip neither covers `t`
-            // (k == i; for dur == 0 the linear oracle still requires the
-            // segment at `t` itself to satisfy `cpus`) nor starts inside
-            // the window.
+            // (k == i; even for dur == 0 the segment at `t` itself must
+            // satisfy `cpus`) nor starts inside the window.
             if k > i && self.segs[k].0 >= window_end {
                 return Some(t);
             }
             // Blocked: the next viable candidate is the start of the first
             // segment after the dip with enough processors — the same
-            // instant the linear oracle reaches by hopping segment ends
+            // instant a linear scan reaches by hopping segment ends
             // through the blocked run.
             match self.index.first_at_least(k + 1, cpus) {
                 None => return None, // blocked through the infinite tail
                 Some(m) => t = self.segs[m].0,
-            }
-        }
-    }
-
-    /// Linear-scan reference implementation of [`Profile::earliest_fit`]
-    /// — the semantic oracle the indexed path is property-tested against.
-    pub fn earliest_fit_linear(&self, cpus: u32, dur: u64, not_before: Time) -> Option<Time> {
-        if cpus > self.total {
-            return None;
-        }
-        let mut t = not_before.max(self.origin());
-        'candidate: loop {
-            let window_end = t.saturating_add(dur);
-            let mut j = self.seg_index(t);
-            loop {
-                let (_, avail) = self.segs[j];
-                let seg_end = self.segs.get(j + 1).map_or(Time::MAX, |&(s, _)| s);
-                if avail < cpus {
-                    if seg_end == Time::MAX {
-                        // Blocked forever (an infinite commitment).
-                        return None;
-                    }
-                    t = seg_end;
-                    continue 'candidate;
-                }
-                if seg_end >= window_end {
-                    return Some(t);
-                }
-                j += 1;
             }
         }
     }
@@ -826,61 +778,5 @@ mod tests {
         assert!(p.can_fit(t, 4, 150));
         assert!(!p.can_fit(Time(0), 4, 150));
         assert!(p.can_fit(Time(0), 4, 100)); // exactly up to the dip
-    }
-
-    /// Exhaustively compares the indexed queries against the linear
-    /// oracles over a staircase profile with dips, across a grid of probe
-    /// points, sizes and durations (including dur = 0 and u64::MAX).
-    #[test]
-    fn indexed_queries_match_linear_oracles() {
-        let mut p = Profile::flat(Time(0), 32, 32);
-        for (s, e, c) in [
-            (10u64, 50u64, 8u32),
-            (20, 40, 8),
-            (40, 90, 16),
-            (60, 70, 15),
-            (100, u64::MAX, 31),
-        ] {
-            let end = if e == u64::MAX { Time::MAX } else { Time(e) };
-            p.commit(Time(s), end, c).unwrap();
-        }
-        p.check_invariants().unwrap();
-        for t in 0..120u64 {
-            for dur in [0u64, 1, 5, 30, 100, u64::MAX] {
-                assert_eq!(
-                    p.min_available(Time(t), dur),
-                    p.min_available_linear(Time(t), dur),
-                    "min_available at t={t} dur={dur}"
-                );
-                for cpus in [0u32, 1, 2, 8, 16, 17, 31, 32, 33] {
-                    assert_eq!(
-                        p.earliest_fit(cpus, dur, Time(t)),
-                        p.earliest_fit_linear(cpus, dur, Time(t)),
-                        "earliest_fit cpus={cpus} dur={dur} not_before={t}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn indexed_queries_match_linear_after_every_mutation_kind() {
-        let mut p = sample();
-        p.commit(Time(150), Time(250), 2).unwrap();
-        p.release_over(Time(150), Time(250), 2).unwrap();
-        p.advance_origin(Time(220));
-        p.check_invariants().unwrap();
-        for t in 200..350u64 {
-            for cpus in 0..=11u32 {
-                assert_eq!(
-                    p.earliest_fit(cpus, 75, Time(t)),
-                    p.earliest_fit_linear(cpus, 75, Time(t))
-                );
-            }
-            assert_eq!(
-                p.min_available(Time(t), 60),
-                p.min_available_linear(Time(t), 60)
-            );
-        }
     }
 }

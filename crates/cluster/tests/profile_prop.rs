@@ -8,6 +8,125 @@ use proptest::prelude::*;
 
 const TOTAL: u32 = 64;
 
+/// Index of the segment covering `t`, clamped to the origin.
+fn seg_index(segs: &[(Time, u32)], t: Time) -> usize {
+    match segs.binary_search_by_key(&t, |&(s, _)| s) {
+        Ok(i) => i,
+        Err(0) => 0,
+        Err(i) => i - 1,
+    }
+}
+
+/// Linear-scan [`Profile::min_available`]: every segment the window
+/// `[start, start + dur)` touches, and at least the one covering `start`.
+fn min_available_linear(p: &Profile, start: Time, dur: u64) -> u32 {
+    let segs = p.segments();
+    let end = start.saturating_add(dur);
+    let mut i = seg_index(segs, start);
+    let mut min = segs[i].1;
+    i += 1;
+    while i < segs.len() && segs[i].0 < end {
+        min = min.min(segs[i].1);
+        i += 1;
+    }
+    min
+}
+
+/// Linear-scan [`Profile::earliest_fit`]: walks every segment of every
+/// candidate window, hopping past each segment that blocks it.
+fn earliest_fit_linear(p: &Profile, cpus: u32, dur: u64, not_before: Time) -> Option<Time> {
+    if cpus > p.total() {
+        return None;
+    }
+    let segs = p.segments();
+    let mut t = not_before.max(p.origin());
+    'candidate: loop {
+        let window_end = t.saturating_add(dur);
+        let mut j = seg_index(segs, t);
+        loop {
+            let (_, avail) = segs[j];
+            let seg_end = segs.get(j + 1).map_or(Time::MAX, |&(s, _)| s);
+            if avail < cpus {
+                if seg_end == Time::MAX {
+                    // Blocked forever (an infinite commitment).
+                    return None;
+                }
+                t = seg_end;
+                continue 'candidate;
+            }
+            if seg_end >= window_end {
+                return Some(t);
+            }
+            j += 1;
+        }
+    }
+}
+
+/// Profile: 10-cpu machine, 2 free now (t=100), releases of 3 at t=200
+/// and 5 at t=300.
+fn sample() -> Profile {
+    let mut b = ProfileBuilder::new(Time(100), 10, 2);
+    b.release(Time(200), 3);
+    b.release(Time(300), 5);
+    b.build()
+}
+
+/// Exhaustively compares the indexed queries against the linear scans
+/// over a staircase profile with dips, across a grid of probe points,
+/// sizes and durations (including dur = 0 and u64::MAX).
+#[test]
+fn indexed_queries_match_linear_oracles() {
+    let mut p = Profile::flat(Time(0), 32, 32);
+    for (s, e, c) in [
+        (10u64, 50u64, 8u32),
+        (20, 40, 8),
+        (40, 90, 16),
+        (60, 70, 15),
+        (100, u64::MAX, 31),
+    ] {
+        let end = if e == u64::MAX { Time::MAX } else { Time(e) };
+        p.commit(Time(s), end, c).unwrap();
+    }
+    p.check_invariants().unwrap();
+    for t in 0..120u64 {
+        for dur in [0u64, 1, 5, 30, 100, u64::MAX] {
+            assert_eq!(
+                p.min_available(Time(t), dur),
+                min_available_linear(&p, Time(t), dur),
+                "min_available at t={t} dur={dur}"
+            );
+            for cpus in [0u32, 1, 2, 8, 16, 17, 31, 32, 33] {
+                assert_eq!(
+                    p.earliest_fit(cpus, dur, Time(t)),
+                    earliest_fit_linear(&p, cpus, dur, Time(t)),
+                    "earliest_fit cpus={cpus} dur={dur} not_before={t}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn indexed_queries_match_linear_after_every_mutation_kind() {
+    let mut p = sample();
+    p.commit(Time(150), Time(250), 2).unwrap();
+    p.release_over(Time(150), Time(250), 2).unwrap();
+    p.advance_origin(Time(220));
+    p.check_invariants().unwrap();
+    for t in 200..350u64 {
+        for cpus in 0..=11u32 {
+            assert_eq!(
+                p.earliest_fit(cpus, 75, Time(t)),
+                earliest_fit_linear(&p, cpus, 75, Time(t))
+            );
+        }
+        assert_eq!(
+            p.min_available(Time(t), 60),
+            min_available_linear(&p, Time(t), 60)
+        );
+    }
+}
+
 /// Builds a random profile: some free-now count plus future releases that
 /// never exceed the machine size.
 fn arb_profile() -> impl Strategy<Value = Profile> {
@@ -109,7 +228,7 @@ proptest! {
         prop_assert_eq!(p.min_available(start, dur), expected);
     }
 
-    /// The O(log n) indexed queries agree with the linear oracles on
+    /// The O(log n) indexed queries agree with the linear scans on
     /// profiles shaped by random commitment sequences — the A/B oracle for
     /// the segment-tree rework, probing every segment boundary (± 1) plus
     /// random offsets, with degenerate durations included.
@@ -136,12 +255,12 @@ proptest! {
                 for d in [dur, 0, u64::MAX] {
                     prop_assert_eq!(
                         p.min_available(Time(t), d),
-                        p.min_available_linear(Time(t), d),
+                        min_available_linear(&p, Time(t), d),
                         "min_available t={} dur={}", t, d
                     );
                     prop_assert_eq!(
                         p.earliest_fit(cpus, d, Time(t)),
-                        p.earliest_fit_linear(cpus, d, Time(t)),
+                        earliest_fit_linear(&p, cpus, d, Time(t)),
                         "earliest_fit cpus={} dur={} not_before={}", cpus, d, t
                     );
                 }

@@ -255,29 +255,6 @@ pub fn gears(opts: &ExpOptions) -> Ablation {
     run_study("gears", variants, opts.threads)
 }
 
-/// Engine A/B: the incremental scheduling hot path against the full
-/// re-scheduling oracle, under both substrates with the medium policy.
-/// Every INC row must equal its FULL twin — the outcome streams are
-/// bit-identical by construction (see `tests/incremental_ab.rs`); the
-/// table is the experiment-level witness.
-pub fn engine(opts: &ExpOptions) -> Ablation {
-    use bsld_sched::SchedMode;
-    let mut variants = Vec::new();
-    for (label, mode, incremental) in [
-        ("EASY-INC", SchedMode::Easy, true),
-        ("EASY-FULL", SchedMode::Easy, false),
-        ("CONS-INC", SchedMode::Conservative, true),
-        ("CONS-FULL", SchedMode::Conservative, false),
-    ] {
-        let mut sc = blue_base(opts, label);
-        sc.engine.mode = mode;
-        sc.engine.incremental = incremental;
-        sc.policy = medium_policy();
-        variants.push((label.to_string(), sc));
-    }
-    run_study("engine", variants, opts.threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,22 +272,6 @@ mod tests {
             no.avg_bsld
         );
         assert!(aggressive.norm_e_comp >= no.norm_e_comp - 1e-9);
-    }
-
-    #[test]
-    fn engine_ab_rows_are_twins() {
-        // The incremental engine and the full re-scan oracle must agree to
-        // the bit, under both substrates.
-        let a = engine(&ExpOptions::quick(200));
-        assert_eq!(a.rows.len(), 4);
-        for (inc, full) in [("EASY-INC", "EASY-FULL"), ("CONS-INC", "CONS-FULL")] {
-            let i = a.row(inc).unwrap();
-            let f = a.row(full).unwrap();
-            assert_eq!(i.avg_bsld.to_bits(), f.avg_bsld.to_bits(), "{inc}");
-            assert_eq!(i.avg_wait.to_bits(), f.avg_wait.to_bits(), "{inc}");
-            assert_eq!(i.norm_e_comp.to_bits(), f.norm_e_comp.to_bits(), "{inc}");
-            assert_eq!(i.reduced_jobs, f.reduced_jobs, "{inc}");
-        }
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!   BSLD-threshold policy;
 //! * [`PowerSpec`] — power cap, sleep ladder, dynamic boost, power model
 //!   selection ([`PowerModelSpec`]), ledger observation;
-//! * [`EngineSpec`] — backfilling substrate, resource selection,
-//!   incremental vs full-rescan engine, tracing;
+//! * [`EngineSpec`] — backfilling substrate, resource selection, tracing;
 //! * [`OutputSpec`] — artifact directory.
 //!
 //! There is one way to run a scenario. [`Scenario::run`] executes the spec
@@ -523,8 +522,6 @@ pub struct EngineSpec {
     pub mode: SchedMode,
     /// EASY backfilling on (`false` = plain FCFS).
     pub backfill: bool,
-    /// The incremental hot path (`false` = full-rescan oracle).
-    pub incremental: bool,
     /// Resource selection policy.
     pub selection: SelectionPolicy,
     /// Collect a scheduling trace.
@@ -536,7 +533,6 @@ impl Default for EngineSpec {
         EngineSpec {
             mode: SchedMode::Easy,
             backfill: true,
-            incremental: true,
             selection: SelectionPolicy::FirstFit,
             trace: false,
         }
@@ -628,7 +624,7 @@ impl From<SimError> for ScenarioError {
 impl Scenario {
     /// A scenario over a synthetic workload with every other spec at its
     /// default: paper gears, original size, baseline policy, no power
-    /// instrumentation, EASY incremental engine, no outputs.
+    /// instrumentation, EASY backfilling, no outputs.
     pub fn synthetic(
         name: impl Into<String>,
         profile: ProfileName,
@@ -676,7 +672,6 @@ impl Scenario {
         }
         sim.engine.mode = self.engine.mode;
         sim.engine.backfill = self.engine.backfill;
-        sim.engine.incremental = self.engine.incremental;
         sim.engine.selection = self.engine.selection;
         sim.engine.collect_trace = self.engine.trace;
         sim.engine.boost = self.power.boost.map(|wq_limit| BoostConfig { wq_limit });
@@ -1396,7 +1391,9 @@ impl Scenario {
         };
         let _ = writeln!(out, "mode = {mode}");
         let _ = writeln!(out, "backfill = {}", self.engine.backfill);
-        let _ = writeln!(out, "incremental = {}", self.engine.incremental);
+        // `incremental` is a retired key; the constant line stays because
+        // campaign cell ids hash this text.
+        out.push_str("incremental = true\n");
         let selection = match self.engine.selection {
             SelectionPolicy::FirstFit => "firstfit",
             SelectionPolicy::LastFit => "lastfit",
@@ -1689,7 +1686,10 @@ impl ScenarioSet {
                     }
                 }
                 "backfill" => engine.backfill = parse_bool(value).map_err(e)?,
-                "incremental" => engine.incremental = parse_bool(value).map_err(e)?,
+                // A retired key: still validated as a bool, then ignored.
+                "incremental" => {
+                    parse_bool(value).map_err(e)?;
+                }
                 "selection" => {
                     engine.selection = match value {
                         "firstfit" => SelectionPolicy::FirstFit,
@@ -1912,7 +1912,6 @@ mod tests {
         sc.engine = EngineSpec {
             mode: SchedMode::Conservative,
             backfill: false,
-            incremental: false,
             selection: SelectionPolicy::ContiguousFirstFit,
             trace: true,
         };
@@ -1924,6 +1923,20 @@ mod tests {
             });
         }
         assert_eq!(Scenario::parse(&sc.render()).unwrap(), sc);
+    }
+
+    #[test]
+    fn retired_incremental_key_is_validated_then_ignored() {
+        let text = base().render();
+        assert!(
+            text.contains("\nincremental = true\n"),
+            "render keeps the constant line that cell ids hash"
+        );
+        let off = text.replace("incremental = true", "incremental = false");
+        assert_eq!(Scenario::parse(&off).unwrap(), base());
+        let bad = text.replace("incremental = true", "incremental = maybe");
+        let err = Scenario::parse(&bad).unwrap_err().to_string();
+        assert!(err.contains("bad boolean"), "{err}");
     }
 
     #[test]

@@ -630,9 +630,13 @@ mod tests {
             });
         }
         // Wait for the queue to drain without joining, proving the
-        // workers outlive the panics.
+        // workers outlive the panics. The last panicking job may still be
+        // unwinding when the last counting job finishes, so wait for both
+        // tallies.
         let t0 = std::time::Instant::now();
-        while counter.load(Ordering::SeqCst) < 4 && t0.elapsed() < Duration::from_secs(10) {
+        while (counter.load(Ordering::SeqCst) < 4 || pool.panicked_jobs() < 4)
+            && t0.elapsed() < Duration::from_secs(10)
+        {
             std::thread::yield_now();
         }
         assert_eq!(counter.load(Ordering::SeqCst), 4);

@@ -27,8 +27,7 @@
 //!
 //! Naively, every event rebuilds the availability profile from *all*
 //! running jobs and re-runs the whole pass — O(events × running jobs) of
-//! pure re-derivation. With [`EngineConfig::incremental`] (the default)
-//! the engine instead maintains:
+//! pure re-derivation. The engine instead maintains:
 //!
 //! * a **sorted running-jobs index** (`expected_end → cpus`), so a rebuild
 //!   is a merged in-order iteration instead of a scan-and-sort, feeding a
@@ -50,21 +49,22 @@
 //! that starts "now" (contiguous-selection fragmentation), or a pass that
 //! started the cached head.
 //!
-//! ## Pass-skip conditions
+//! ## Pass-elision conditions
 //!
-//! An arrival event is skipped (no pass at all) only when **all** hold:
-//! the engine runs EASY mode with no [`PowerHook`], no trace collection and
-//! no boost; the policy declares itself elision-safe
-//! ([`crate::FrequencyPolicy::pass_elision_safe`]) or backfilling is off;
-//! the queue was non-empty (so the head — which could not start at the
-//! previous pass, and nothing has freed processors since — is unchanged);
-//! and the arriving job either needs more processors than are free or is
-//! declined by `backfill_gear` against the cached committed profile. Under
-//! the elision-safety contract every *older* queued job keeps failing too
-//! (its wait only grew and the profile only weakened), so outcomes are
-//! bit-identical to the full re-scheduling engine —
-//! `EngineConfig { incremental: false, .. }` keeps the always-rebuild path
-//! as an A/B oracle, and [`SimResult::stats`] exposes rebuild/skip counters.
+//! Skipping and batching both require EASY mode with no [`PowerHook`], no
+//! trace collection and no boost, and an elision-safe policy
+//! ([`crate::FrequencyPolicy::pass_elision_safe`]) — with or without
+//! backfilling, since batching changes the `wq_others` a head decision
+//! sees. An arrival is then skipped (no pass at all) when the queue was
+//! non-empty (so the head — which could not start at the previous pass,
+//! and nothing has freed processors since — is unchanged) and the arriving
+//! job needs more processors than are free, is declined by `backfill_gear`
+//! against the cached committed profile, or backfilling is off. Under the
+//! elision-safety contract every *older* queued job keeps failing too (its
+//! wait only grew and the profile only weakened), so outcomes are
+//! bit-identical to one full pass per event, which `tests/reference_ab.rs`
+//! checks against a naive reference scheduler; [`SimResult::stats`]
+//! exposes rebuild/skip counters.
 //!
 //! # Dynamic boost (paper future work)
 //!
@@ -116,12 +116,6 @@ pub struct EngineConfig {
     pub collect_trace: bool,
     /// Enable the dynamic-boost extension.
     pub boost: Option<BoostConfig>,
-    /// Run the incremental hot path (cached reservation, in-place profile
-    /// updates, pass skipping — see the module docs). `false` forces the
-    /// reference behaviour: a full profile rebuild on every pass. Outcomes
-    /// are bit-identical either way; the toggle exists for A/B verification
-    /// and benchmarking.
-    pub incremental: bool,
     /// Cooperative-cancellation flag, polled once per event. When a caller
     /// raises it (e.g. a campaign cell's wall-time budget expired), the run
     /// returns [`SimError::Aborted`] at the next event instead of driving
@@ -145,7 +139,6 @@ impl Default for EngineConfig {
             selection: SelectionPolicy::FirstFit,
             collect_trace: false,
             boost: None,
-            incremental: true,
             abort: None,
             sink: None,
         }
@@ -258,9 +251,9 @@ impl std::error::Error for SimError {}
 /// that rebuilt the availability profile from the running-jobs index also
 /// increments `profile_rebuilds`; an event (or same-instant arrival batch)
 /// whose pass was proven a no-op and skipped outright increments
-/// `passes_skipped` and nothing else. With
-/// [`EngineConfig::incremental`]` = false`, `passes_skipped` stays 0 and
-/// every pass that reaches the reservation step rebuilds.
+/// `passes_skipped` and nothing else. Where pass elision is off (see the
+/// module docs), `passes_skipped` stays 0 and every pass that reaches the
+/// reservation step rebuilds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PassStats {
     /// Scheduling passes executed.
@@ -431,13 +424,12 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             events.push(job.arrival, Event::Arrive(job.id));
         }
         // Pass elision is only provably outcome-preserving under EASY with
-        // no hook/trace/boost and an elision-safe policy (or no
-        // backfilling, where an arrival behind a blocked head is inert).
-        let elide = cfg.incremental
-            && cfg.mode == SchedMode::Easy
+        // no hook/trace/boost and an elision-safe policy, with or without
+        // backfilling: batching arrivals changes the head's `wq_others`.
+        let elide = cfg.mode == SchedMode::Easy
             && !cfg.collect_trace
             && cfg.boost.is_none()
-            && (policy.pass_elision_safe() || !cfg.backfill);
+            && policy.pass_elision_safe();
         let pool = cluster.pool();
         Ok(Simulation {
             jobs,
@@ -1078,7 +1070,7 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             return;
         };
 
-        if !self.cfg.backfill && !self.cfg.collect_trace && self.cfg.incremental {
+        if !self.cfg.backfill && !self.cfg.collect_trace {
             // Without backfilling the reservation constrains nothing (the
             // head's actual start happens in step 1 of a later pass), so
             // deriving it would be bookkeeping for no observer.
@@ -2094,115 +2086,6 @@ mod tests {
     fn run_with(jobs: &[Job], cpus: u32, cfg: &EngineConfig) -> SimResult {
         let tmm = tm();
         simulate(&cluster(cpus), jobs, &top_policy(), &tmm, cfg).unwrap()
-    }
-
-    #[test]
-    fn incremental_matches_full_rescan_easy() {
-        let jobs = ab_workload(120);
-        let incr = run_with(&jobs, 8, &EngineConfig::default());
-        let full = run_with(
-            &jobs,
-            8,
-            &EngineConfig {
-                incremental: false,
-                ..Default::default()
-            },
-        );
-        assert_eq!(
-            incr.outcomes, full.outcomes,
-            "outcomes must be bit-identical"
-        );
-        assert_eq!(full.stats.passes_skipped, 0);
-        assert!(
-            incr.stats.profile_rebuilds < full.stats.profile_rebuilds,
-            "incremental must rebuild less: {} vs {}",
-            incr.stats.profile_rebuilds,
-            full.stats.profile_rebuilds
-        );
-        assert!(incr.stats.passes_skipped > 0, "saturation must skip passes");
-    }
-
-    #[test]
-    fn incremental_matches_full_rescan_conservative() {
-        let jobs = ab_workload(100);
-        let mk = |incremental| {
-            run_with(
-                &jobs,
-                8,
-                &EngineConfig {
-                    mode: SchedMode::Conservative,
-                    incremental,
-                    ..Default::default()
-                },
-            )
-        };
-        assert_eq!(mk(true).outcomes, mk(false).outcomes);
-    }
-
-    #[test]
-    fn incremental_matches_full_rescan_without_backfill() {
-        let jobs = ab_workload(90);
-        let mk = |incremental| {
-            run_with(
-                &jobs,
-                8,
-                &EngineConfig {
-                    backfill: false,
-                    incremental,
-                    ..Default::default()
-                },
-            )
-        };
-        let incr = mk(true);
-        let full = mk(false);
-        assert_eq!(incr.outcomes, full.outcomes);
-        assert_eq!(
-            incr.stats.profile_rebuilds, 0,
-            "FCFS reservations are bookkeeping only; no rebuild needed"
-        );
-        assert!(full.stats.profile_rebuilds > 0);
-    }
-
-    #[test]
-    fn incremental_matches_full_under_reduced_gear_policy() {
-        // A fixed reduced gear dilates every duration; elision still holds.
-        let jobs = ab_workload(80);
-        let tmm = tm();
-        let low = FixedGearPolicy::new(GearId(1));
-        let mk = |incremental| {
-            simulate(
-                &cluster(8),
-                &jobs,
-                &low,
-                &tmm,
-                &EngineConfig {
-                    incremental,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-            .outcomes
-        };
-        assert_eq!(mk(true), mk(false));
-    }
-
-    #[test]
-    fn contiguous_selection_disables_stale_reservations() {
-        // Fragmentation forces reservations that start "now"; the cache
-        // must refuse to reuse them and outcomes must stay identical.
-        let jobs = ab_workload(60);
-        let mk = |incremental| {
-            run_with(
-                &jobs,
-                8,
-                &EngineConfig {
-                    selection: SelectionPolicy::ContiguousFirstFit,
-                    incremental,
-                    ..Default::default()
-                },
-            )
-        };
-        assert_eq!(mk(true).outcomes, mk(false).outcomes);
     }
 
     #[test]

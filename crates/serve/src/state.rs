@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use bsld_core::campaign::fnv1a_64;
 use bsld_core::scenario::{OutputSpec, Scenario, ScenarioError, ScenarioSet, WorkloadSpec};
 use bsld_core::{sweep_report, CellId, CellOutcome};
 use bsld_metrics::Json;
@@ -517,16 +518,6 @@ fn file_fnv(path: &std::path::Path) -> Option<u64> {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-}
-
-/// FNV-1a, the same stable hash the campaign layer uses for cell IDs.
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -3,6 +3,8 @@
 use std::fmt::Write as _;
 use std::io;
 
+use bsld_simkernel::rng::splitmix64;
+
 use crate::record::{SwfRecord, SwfTrace};
 
 /// Serialises a trace back to SWF text.
@@ -108,8 +110,14 @@ pub fn generate_swf<W: io::Write>(
     // Mean job area ≈ 31.9 cpus × 1859 s ≈ 59 300 cpu·s; for 70 % load the
     // mean interarrival gap must be area / (0.7 × max_procs).
     let mean_gap = (84_714u64 / u64::from(max_procs)).max(1);
+    // The splitmix64 sequence: draw i is `splitmix64(seed + i·γ)`, with γ
+    // the golden-ratio increment the finaliser itself adds.
     let mut state = seed;
-    let mut next = move || -> u64 { splitmix64(&mut state) };
+    let mut next = move || -> u64 {
+        let out = splitmix64(state);
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        out
+    };
     let mut submit: i64 = 0;
     let mut line = String::new();
     for id in 1..=jobs {
@@ -134,18 +142,6 @@ pub fn generate_swf<W: io::Write>(
         w.write_all(line.as_bytes())?;
     }
     Ok(())
-}
-
-/// splitmix64: the classic 64-bit mixing PRNG (public-domain constants).
-/// Integer-only and platform-independent — exactly what a deterministic
-/// trace generator needs, without pulling a `rand` dependency into this
-/// crate.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! * the single-rail [`RailSet`] aggregate — the new default machine
 //!   layout — reproduces the bare model's draw bit for bit;
 //! * on the paper's grid experiment shape (reduced scale, as in
-//!   `incremental_ab.rs`) splitting the machine into CPU/memory/
+//!   `reference_ab.rs`) splitting the machine into CPU/memory/
 //!   interconnect rails never perturbs the schedule;
 //! * a scenario that selects `model = paper` produces the same outcomes
 //!   and the same CPU-rail energy, bit for bit, as a spec that never

@@ -179,27 +179,23 @@ fn arb_engine() -> BoxedStrategy<EngineSpec> {
     (
         proptest::bool::ANY,
         proptest::bool::ANY,
-        proptest::bool::ANY,
         0u8..3,
         proptest::bool::ANY,
     )
-        .prop_map(
-            |(conservative, backfill, incremental, sel, trace)| EngineSpec {
-                mode: if conservative {
-                    SchedMode::Conservative
-                } else {
-                    SchedMode::Easy
-                },
-                backfill,
-                incremental,
-                selection: match sel {
-                    0 => bsld::cluster::SelectionPolicy::FirstFit,
-                    1 => bsld::cluster::SelectionPolicy::LastFit,
-                    _ => bsld::cluster::SelectionPolicy::ContiguousFirstFit,
-                },
-                trace,
+        .prop_map(|(conservative, backfill, sel, trace)| EngineSpec {
+            mode: if conservative {
+                SchedMode::Conservative
+            } else {
+                SchedMode::Easy
             },
-        )
+            backfill,
+            selection: match sel {
+                0 => bsld::cluster::SelectionPolicy::FirstFit,
+                1 => bsld::cluster::SelectionPolicy::LastFit,
+                _ => bsld::cluster::SelectionPolicy::ContiguousFirstFit,
+            },
+            trace,
+        })
         .boxed()
 }
 

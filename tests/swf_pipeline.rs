@@ -76,6 +76,19 @@ fn swf_to_simulation_pipeline() {
     validate_schedule(&res.outcomes, w.cpus).unwrap();
 }
 
+/// `gen-swf` output feeds CI's byte comparison and the benchmark's replay
+/// traces, so its bytes are pinned: the FNV-1a of a 1 000-job trace.
+#[test]
+fn generated_trace_bytes_are_pinned() {
+    let mut buf = Vec::new();
+    bsld::swf::generate_swf(&mut buf, 1000, 2010, bsld::swf::GEN_SWF_DEFAULT_PROCS).unwrap();
+    assert_eq!(
+        bsld::core::campaign::fnv1a_64(&buf),
+        0xdaaf_e5ba_a452_5998,
+        "gen-swf bytes changed"
+    );
+}
+
 fn arb_record() -> impl Strategy<Value = SwfRecord> {
     (
         1i64..100_000,
