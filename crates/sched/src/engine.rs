@@ -51,20 +51,34 @@
 //!
 //! ## Pass-elision conditions
 //!
-//! Skipping and batching both require EASY mode with no [`PowerHook`], no
-//! trace collection and no boost, and an elision-safe policy
-//! ([`crate::FrequencyPolicy::pass_elision_safe`]) — with or without
-//! backfilling, since batching changes the `wq_others` a head decision
-//! sees. An arrival is then skipped (no pass at all) when the queue was
-//! non-empty (so the head — which could not start at the previous pass,
-//! and nothing has freed processors since — is unchanged) and the arriving
-//! job needs more processors than are free, is declined by `backfill_gear`
-//! against the cached committed profile, or backfilling is off. Under the
-//! elision-safety contract every *older* queued job keeps failing too (its
-//! wait only grew and the profile only weakened), so outcomes are
-//! bit-identical to one full pass per event, which `tests/reference_ab.rs`
-//! checks against a naive reference scheduler; [`SimResult::stats`]
-//! exposes rebuild/skip counters.
+//! Elision requires EASY mode with no trace collection and no boost, and
+//! an elision-safe policy ([`crate::FrequencyPolicy::pass_elision_safe`])
+//! — with or without backfilling, since batching changes the `wq_others`
+//! a head decision sees. An arrival is then skipped (no pass at all) when
+//! the queue was non-empty (so the head — which could not start at the
+//! previous pass, and nothing has freed processors since — is unchanged)
+//! and the arriving job needs more processors than are free, is declined
+//! by `backfill_gear` against the cached committed profile, or backfilling
+//! is off. Under the elision-safety contract every *older* queued job
+//! keeps failing too (its wait only grew and the profile only weakened),
+//! so outcomes are bit-identical to one full pass per event, which
+//! `tests/reference_ab.rs` checks against a naive reference scheduler;
+//! [`SimResult::stats`] exposes rebuild/skip counters.
+//!
+//! A [`PowerHook`] keeps elision until it first *intervenes*: it vetoes a
+//! start, admits one below the proposed gear, or admits a start the engine
+//! then declines (contiguous selection finds no block). Until then every
+//! start happened as it would without the hook, and a skipped pass offers
+//! the hook exactly the starts a full pass would: the arrival goes through
+//! the same backfill path and `hook_admit`, and every older candidate fails
+//! before it reaches the hook. From the first intervention on, the hook's
+//! answers depend on power state the proof does not model (a deferred job
+//! may be admitted after an arrival, a declined one re-offered once a
+//! later start raised the draw), so every later event takes the full pass.
+//! Same-instant arrivals are never batched under a hook: a larger batch
+//! enlarges the `wq_others` that `admit_start` sees, which can open a soft
+//! cap's escape hatch. `tests/hooked_elision.rs` checks hooked runs against
+//! the same runs forced onto full passes.
 //!
 //! # Dynamic boost (paper future work)
 //!
@@ -253,7 +267,10 @@ impl std::error::Error for SimError {}
 /// whose pass was proven a no-op and skipped outright increments
 /// `passes_skipped` and nothing else. Where pass elision is off (see the
 /// module docs), `passes_skipped` stays 0 and every pass that reaches the
-/// reservation step rebuilds.
+/// reservation step rebuilds. A hooked run counts as elided up to its
+/// hook's first intervention and as unelided after it, and counts one pass
+/// or skip per same-instant arrival where an unhooked run counts one per
+/// batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PassStats {
     /// Scheduling passes executed.
@@ -357,8 +374,9 @@ pub struct Simulation<'a, P: FrequencyPolicy + ?Sized> {
     /// `(expected_end, cpus)` of the job completed by the current event,
     /// consumed by the next pass's in-place profile update.
     last_completion: Option<(Time, u32)>,
-    /// Whether pass elision (cache + skip + batching) is permitted for this
-    /// run; see the module docs for the exact conditions.
+    /// Whether pass elision (cache + skip + batching) is permitted from
+    /// here on; see the module docs for the exact conditions. Cleared for
+    /// good at a power hook's first intervention.
     elide: bool,
     /// Scratch buffers reused across passes.
     scratch_candidates: Vec<JobId>,
@@ -424,7 +442,7 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             events.push(job.arrival, Event::Arrive(job.id));
         }
         // Pass elision is only provably outcome-preserving under EASY with
-        // no hook/trace/boost and an elision-safe policy, with or without
+        // no trace/boost and an elision-safe policy, with or without
         // backfilling: batching arrivals changes the head's `wq_others`.
         let elide = cfg.mode == SchedMode::Easy
             && !cfg.collect_trace
@@ -460,11 +478,10 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
 
     /// Attaches a [`PowerHook`] (builder style). The hook observes every
     /// start/completion/gear change and may veto or down-gear decisions.
+    /// Pass elision stays on until the hook first intervenes, and
+    /// same-instant arrivals are no longer batched (see the module docs).
     pub fn with_hook(mut self, hook: &'a mut dyn PowerHook) -> Self {
         self.hook = Some(hook);
-        // A hook's admissions depend on power state the elision proofs do
-        // not model — every event takes the full pass.
-        self.elide = false;
         self
     }
 
@@ -522,11 +539,12 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
                         // Batch-peek: workload arrivals are enqueued before
                         // any completion, so same-instant arrivals are
                         // delivered back to back; coalesce them into one
-                        // pass (provably identical under elision — see the
-                        // module docs).
+                        // pass (provably identical under elision without a
+                        // hook — see the module docs).
                         batch.clear();
                         batch.push(id);
-                        while matches!(self.events.peek(), Some((t2, Event::Arrive(_))) if t2 == t)
+                        while self.hook.is_none()
+                            && matches!(self.events.peek(), Some((t2, Event::Arrive(_))) if t2 == t)
                         {
                             match self.events.pop() {
                                 Some((_, Event::Arrive(id2))) => {
@@ -632,15 +650,18 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
     }
 
     /// Tells the power hook (if any) that its last admission was not
-    /// honored — the start it approved did not happen.
+    /// honored — the start it approved did not happen. That is an
+    /// intervention: it ends pass elision.
     fn hook_declined(&mut self) {
         if let Some(h) = self.hook.as_deref_mut() {
             h.admission_declined();
+            self.elide = false;
         }
     }
 
     /// Consults the power hook (if any) about starting `cpus` processors at
-    /// `gear` right now. `None` means the start is deferred.
+    /// `gear` right now. `None` means the start is deferred. Any answer but
+    /// `Some(gear)` is an intervention: it ends pass elision.
     fn hook_admit(
         &mut self,
         cpus: u32,
@@ -649,14 +670,18 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
         head: bool,
     ) -> Option<GearId> {
         let now = self.now;
-        match self.hook.as_deref_mut() {
-            None => Some(gear),
-            Some(h) => {
-                let admitted = h.admit_start(now, cpus, gear, wq_others, head)?;
-                debug_assert!(admitted <= gear, "a power hook may only down-gear a start");
-                Some(admitted)
-            }
+        let Some(h) = self.hook.as_deref_mut() else {
+            return Some(gear);
+        };
+        let admitted = h.admit_start(now, cpus, gear, wq_others, head);
+        debug_assert!(
+            admitted.is_none_or(|g| g <= gear),
+            "a power hook may only down-gear a start"
+        );
+        if admitted != Some(gear) {
+            self.elide = false;
         }
+        admitted
     }
 
     /// Attempts to start `id` right now at `gear` under the configured
@@ -859,12 +884,13 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
         debug_assert_eq!(next, started.len(), "every started job was queued");
     }
 
-    /// Handles a batch of same-instant arrivals under pass elision: skip
-    /// the pass when provably a no-op, evaluate only the new jobs against
-    /// the cached committed profile when possible, and fall back to a full
-    /// pass otherwise. See the module docs for the safety argument.
+    /// Handles a batch of same-instant arrivals (a single arrival under a
+    /// power hook) under pass elision: skip the pass when provably a no-op,
+    /// evaluate only the new jobs against the cached committed profile when
+    /// possible, and fall back to a full pass otherwise. See the module
+    /// docs for the safety argument.
     fn pass_after_arrivals(&mut self, batch: &[JobId]) {
-        debug_assert!(self.elide && self.hook.is_none());
+        debug_assert!(self.elide);
         let prev_len = self.queue.len() - batch.len();
         if prev_len == 0 {
             // The new head may be able to start immediately: full pass
@@ -873,7 +899,8 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             return;
         }
         // The head is unchanged and still cannot start: nothing has freed
-        // processors since the pass that left it queued.
+        // processors since the pass that left it queued (and a hook that
+        // had vetoed it would have ended elision).
         if !self.cfg.backfill {
             // Without backfilling, an arrival behind a blocked head is
             // inert (the reservation is bookkeeping only).
@@ -902,34 +929,7 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
         // longer, so by the elision-safety contract it keeps failing.
         let mut started = std::mem::take(&mut self.scratch_started);
         started.clear();
-        for &id in batch {
-            let job = self.job(id);
-            if job.cpus > self.pool.free_count() {
-                continue;
-            }
-            let wq_others = self.queue.len() - 1 - started.len();
-            let chosen = {
-                let ctx = self.ctx(job, wq_others);
-                let tm = self.time_model;
-                let now = self.now;
-                let profile_ref = &self.profile;
-                let mut fits = |gear: GearId| {
-                    let dur = tm.dilate(job.requested, job.beta, gear);
-                    profile_ref.can_fit(now, job.cpus, dur)
-                };
-                self.policy.backfill_gear(&ctx, &mut fits)
-            };
-            if let Some(gear) = chosen {
-                if self.try_start_job(id, gear, true) {
-                    let dur = self.time_model.dilate(job.requested, job.beta, gear);
-                    self.profile
-                        .commit(self.now, self.now.saturating_add(dur), job.cpus)
-                        // audit:allow(R1): scheduler state invariant; the expect message states it, and the determinism suite exercises these paths
-                        .expect("policy returned a gear that does not fit");
-                    started.push(id);
-                }
-            }
-        }
+        self.backfill(batch, &mut started);
         if started.is_empty() {
             self.stats.passes_skipped += 1;
             self.emit(|| bsld_obs::TraceEvent::Pass {
@@ -1138,8 +1138,28 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
         candidates.extend(self.queue.iter().skip(1).copied());
         let mut started = std::mem::take(&mut self.scratch_started);
         started.clear();
-        for &id in &candidates {
+        self.backfill(&candidates, &mut started);
+        self.remove_started(&started);
+        if in_place {
+            self.debug_check_profile();
+        }
+        candidates.clear();
+        started.clear();
+        self.scratch_candidates = candidates;
+        self.scratch_started = started;
+    }
+
+    /// EASY step 3 over `candidates` (queued jobs, in queue order, behind
+    /// the reserved head): each one that fits the free processors is
+    /// offered to the policy against the committed profile and then to the
+    /// power hook; jobs that start are committed into the profile and
+    /// appended to `started`. Full passes and skipped-pass arrivals share
+    /// it, so the hook sees the same admissions either way.
+    fn backfill(&mut self, candidates: &[JobId], started: &mut Vec<JobId>) {
+        for &id in candidates {
             let job = self.job(id);
+            // Most candidates fail here (the queue is deep, the machine
+            // full), so the width check stays ahead of every other cost.
             if job.cpus > self.pool.free_count() {
                 continue;
             }
@@ -1190,14 +1210,6 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
                 }
             }
         }
-        self.remove_started(&started);
-        if in_place {
-            self.debug_check_profile();
-        }
-        candidates.clear();
-        started.clear();
-        self.scratch_candidates = candidates;
-        self.scratch_started = started;
     }
 
     /// One conservative-backfilling pass: every queued job receives an

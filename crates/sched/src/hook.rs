@@ -27,6 +27,20 @@
 //!   fire after the corresponding state change is committed, exactly once
 //!   per change, with the gear the job is entering/leaving.
 //!
+//! # Pass elision
+//!
+//! Attaching a hook does not by itself turn off the engine's pass elision
+//! (see the `engine` module docs). The engine keeps eliding provably no-op
+//! passes until the hook first *intervenes*: an [`PowerHook::admit_start`]
+//! answer other than `Some(gear)` for the proposed gear (a veto or a
+//! down-gear), or an admission the engine then declines (reported through
+//! [`PowerHook::admission_declined`]). From then on every event takes a
+//! full pass. Up to that point an elided pass offers the hook exactly the
+//! starts a full pass would, so a hook sees the same `admit_start` calls
+//! either way. [`PowerHook::on_time`] fires on every event, elided or not,
+//! and same-instant arrivals are offered one at a time: a hooked run never
+//! batches them, since a batch would change the `wq_others` a hook sees.
+//!
 //! Deferrals are safe from livelock because cluster power only changes at
 //! event boundaries and every event triggers a fresh scheduling pass; a
 //! run that can never proceed (a budget below a single job's minimum draw)

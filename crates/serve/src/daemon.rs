@@ -8,7 +8,7 @@
 //! histograms. Every reply *payload* a client acts on (tables, CSV) is
 //! clock-free.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -154,6 +154,12 @@ impl Server {
     }
 }
 
+/// The longest request line the daemon reads, in bytes without the line
+/// ending. A longer line is answered with a structured error and its
+/// connection is dropped with the rest of the line unread, so no client
+/// can grow the daemon's memory without bound.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
 /// Serves one client connection to completion (many requests per
 /// connection are fine). Returns whether the client requested shutdown.
 fn serve_connection(
@@ -165,17 +171,38 @@ fn serve_connection(
     let Ok(read_half) = stream.try_clone() else {
         return false;
     };
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     let mut shutdown = false;
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else {
-            break; // torn read / client vanished: just drop the connection
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an over-long line from one at it.
+        let cap = MAX_REQUEST_BYTES as u64 + 1;
+        match reader.by_ref().take(cap).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break, // EOF, torn read or client vanished
+            Ok(_) => {}
+        }
+        if buf.len() > MAX_REQUEST_BYTES && buf.last() != Some(&b'\n') {
+            Stats::bump(&state.stats.requests, 1);
+            Stats::bump(&state.stats.errors, 1);
+            let msg =
+                format!("request line exceeds {MAX_REQUEST_BYTES} bytes; closing the connection");
+            let _ = write_reply(&mut writer, &error_reply(&msg));
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break; // not UTF-8: drop the connection
         };
+        // The line ending goes, as `BufRead::lines` drops it.
+        let line = line
+            .strip_suffix('\n')
+            .map_or(line, |l| l.strip_suffix('\r').unwrap_or(l));
         if line.trim().is_empty() {
             continue; // tolerate blank keep-alive lines
         }
         Stats::bump(&state.stats.requests, 1);
-        let reply = match Request::parse(&line) {
+        let reply = match Request::parse(line) {
             Err(msg) => {
                 Stats::bump(&state.stats.errors, 1);
                 error_reply(&msg)
@@ -192,9 +219,7 @@ fn serve_connection(
                 reply
             }
         };
-        let mut text = reply.render();
-        text.push('\n');
-        if writer.write_all(text.as_bytes()).is_err() || writer.flush().is_err() {
+        if write_reply(&mut writer, &reply).is_err() {
             break; // client stopped reading; nothing left to serve it
         }
         if shutdown {
@@ -202,6 +227,14 @@ fn serve_connection(
         }
     }
     shutdown
+}
+
+/// Writes `reply` as one line and flushes it.
+fn write_reply(writer: &mut UnixStream, reply: &Json) -> std::io::Result<()> {
+    let mut text = reply.render();
+    text.push('\n');
+    writer.write_all(text.as_bytes())?;
+    writer.flush()
 }
 
 /// Executes one parsed request against the warm state.

@@ -39,6 +39,6 @@ pub mod proto;
 pub mod state;
 
 pub use client::Client;
-pub use daemon::{ServeConfig, ServeError, Server};
+pub use daemon::{ServeConfig, ServeError, Server, MAX_REQUEST_BYTES};
 pub use proto::{Overrides, Request, PROTOCOL_VERSION};
 pub use state::{RunReply, ServerState, StateConfig};

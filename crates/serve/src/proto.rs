@@ -19,7 +19,9 @@
 //!
 //! Every reply carries `"ok"`; failures are structured
 //! `{"ok":false,"error":"…"}` lines — a malformed or torn request can
-//! never take the daemon down.
+//! never take the daemon down. A request line longer than
+//! [`crate::daemon::MAX_REQUEST_BYTES`] gets such a reply and then its
+//! connection is closed.
 
 use bsld_core::scenario::{PolicySpec, PowerModelSpec, ProfileName, ScenarioSet, WorkloadSpec};
 use bsld_core::WqThreshold;

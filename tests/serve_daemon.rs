@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use bsld::core::scenario::ScenarioSet;
 use bsld::core::{sweep_report, CellOutcome};
 use bsld::metrics::Json;
-use bsld::serve::{Client, Overrides, ServeConfig, Server, StateConfig};
+use bsld::serve::{Client, Overrides, ServeConfig, Server, StateConfig, MAX_REQUEST_BYTES};
 
 const SCN: &str = "scenario = demo\n\
                    workload = synthetic\n\
@@ -196,6 +196,63 @@ fn torn_and_malformed_requests_never_take_the_daemon_down() {
     drop(reader);
 
     // The daemon is still fully alive for the next client.
+    let mut client = Client::connect(&socket).unwrap();
+    let status = client.status().unwrap();
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    let ok = client.run(SCN, &Overrides::default()).unwrap();
+    assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
+fn over_long_request_line_is_refused_and_its_connection_dropped() {
+    let (socket, handle) = spawn_daemon(small_config(scratch_socket()));
+
+    // A line at the cap is read whole (and fails to parse as usual). The
+    // connection closes at the end of the block: an idle open connection
+    // would hold its worker through the shutdown below.
+    {
+        let mut raw = UnixStream::connect(&socket).unwrap();
+        let mut reader = BufReader::new(raw.try_clone().unwrap());
+        let mut line = vec![b'x'; MAX_REQUEST_BYTES];
+        line.push(b'\n');
+        raw.write_all(&line).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let parsed = Json::parse(reply.trim_end()).unwrap();
+        assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(false));
+        assert!(!reply.contains("exceeds"), "{reply}");
+    }
+
+    // One byte more and no newline: a structured error, then the daemon
+    // drops the connection without reading the rest of the line. The
+    // client may see its write fail once the daemon has hung up.
+    let mut raw = UnixStream::connect(&socket).unwrap();
+    // A daemon without the cap would wait for the newline forever.
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    raw.set_write_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let _ = raw.write_all(&vec![b'x'; 2 * MAX_REQUEST_BYTES]);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let parsed = Json::parse(reply.trim_end()).unwrap();
+    assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(false));
+    let error = parsed.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains(&MAX_REQUEST_BYTES.to_string()), "{error}");
+    // Then the stream ends, or resets since the daemon left bytes unread.
+    reply.clear();
+    let rest = reader.read_line(&mut reply);
+    assert!(
+        matches!(&rest, Ok(0))
+            || matches!(&rest, Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset),
+        "{rest:?} {reply}"
+    );
+
+    // Other clients are still served.
     let mut client = Client::connect(&socket).unwrap();
     let status = client.status().unwrap();
     assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
