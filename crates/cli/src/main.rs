@@ -902,30 +902,20 @@ fn run_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the daemon overrides from `--set key=value` pairs (numbers parse
-/// as numbers, everything else ships as a string) plus `--budget`.
+/// Builds the daemon overrides from `--set key=value` pairs, each value
+/// written as in a `.scn` file, plus `--budget`.
 fn query_overrides(sets: &[String], budget: Option<f64>) -> Result<bsld_serve::Overrides, String> {
-    let mut pairs: Vec<(&str, Json)> = Vec::new();
+    let mut pairs = Vec::new();
     for kv in sets {
         let (k, v) = kv
             .split_once('=')
             .ok_or_else(|| format!("bad --set {kv:?}: expected key=value"))?;
-        let val = match v.parse::<f64>() {
-            Ok(n) if n.is_finite() => Json::Num(n),
-            _ => Json::str(v),
-        };
-        pairs.push((k, val));
+        pairs.push((k.to_string(), Json::str(v)));
     }
-    let mut ov = bsld_serve::Overrides::from_json(&Json::Obj(
-        pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-    ))?;
     if let Some(b) = budget {
-        if !b.is_finite() || b < 0.0 {
-            return Err(format!("--budget must be finite and >= 0, got {b}"));
-        }
-        ov.budget_s = Some(b);
+        pairs.push(("budget_s".to_string(), Json::Num(b)));
     }
-    Ok(ov)
+    bsld_serve::Overrides::from_json(&Json::Obj(pairs))
 }
 
 /// `query <op> --socket PATH`: one request to a running daemon. `run`

@@ -46,7 +46,7 @@
 //! });
 //! let set = ScenarioSet {
 //!     base,
-//!     axes: vec![SweepAxis::BsldThreshold(vec![1.5, 3.0])],
+//!     axes: vec![SweepAxis::new("bsld_th", [1.5, 3.0])],
 //!     replications: 2,
 //!     cell_budget_s: None,
 //! };

@@ -27,7 +27,10 @@
 //! `key = value` text format ([`Scenario::render`] / [`Scenario::parse`]),
 //! so experiment files are first-class artifacts, and a [`ScenarioSet`]
 //! adds sweep axes that expand into a scenario grid run in parallel
-//! through `bsld-par`.
+//! through `bsld-par`. Each key is defined once, in one table that file
+//! lines, `sweep.<key>` axes and serve overrides
+//! ([`ScenarioSet::set_override`]) all parse, validate and name cells
+//! through.
 //!
 //! # Example: a synthetic sweep
 //!
@@ -44,7 +47,7 @@
 //! // Sweep the paper's BSLD thresholds; expansion yields one scenario each.
 //! let set = ScenarioSet {
 //!     base,
-//!     axes: vec![SweepAxis::BsldThreshold(vec![1.5, 2.0, 3.0])],
+//!     axes: vec![SweepAxis::new("bsld_th", [1.5, 2.0, 3.0])],
 //!     replications: 1,
 //!     cell_budget_s: None,
 //! };
@@ -435,17 +438,6 @@ impl PowerModelSpec {
             PowerModelSpec::Empirical(p) => {
                 format!("empirical:{}", line_safe(&p.display().to_string()))
             }
-        }
-    }
-
-    /// Short cell-name suffix used by [`SweepAxis::Model`].
-    pub fn label(&self) -> String {
-        match self {
-            PowerModelSpec::Empirical(p) => {
-                let stem = p.file_stem().and_then(|s| s.to_str()).unwrap_or("csv");
-                format!("emp-{}", line_safe(stem))
-            }
-            other => other.render(),
         }
     }
 
@@ -913,132 +905,64 @@ fn build_rails(spec: &PowerModelSpec, gears: &GearSet) -> Result<RailSet, Scenar
 // Sweeps
 // ---------------------------------------------------------------------------
 
-/// One sweep dimension of a [`ScenarioSet`].
+/// The one directory-valued sweep axis: one cell per `.swf` file of the
+/// directory, sorted by file name so that expansion order (and therefore
+/// cell naming) is deterministic. It requires an SWF base workload; each
+/// cell replaces the base `swf_path` and keeps its `swf_clean`. The
+/// directory is read at expansion time.
+const SWF_DIR: &str = "swf_dir";
+
+/// One sweep dimension of a [`ScenarioSet`]: a scenario key and the values
+/// it takes, each written as in a `key = value` line.
+///
+/// Every key with a cell-name suffix can be swept (the README lists them),
+/// as can `swf_dir`. Expanding the axis sets each value on a copy of
+/// every cell exactly as the file line would, then appends the value's
+/// suffix to the cell name.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SweepAxis {
-    /// Vary the synthetic workload profile.
-    Profile(Vec<ProfileName>),
-    /// Vary `BSLD_threshold` (forces the policy to BSLD-threshold; keeps
-    /// the base `WQ_threshold`, defaulting to no limit).
-    BsldThreshold(Vec<f64>),
-    /// Vary `WQ_threshold` (forces the policy to BSLD-threshold; keeps the
-    /// base threshold, defaulting to 2.0).
-    Wq(Vec<WqThreshold>),
-    /// Vary the power-cap fraction.
-    CapFraction(Vec<f64>),
-    /// Vary the machine enlargement.
-    EnlargePct(Vec<u32>),
-    /// Vary the workload seed.
-    Seed(Vec<u64>),
-    /// Vary the power model ([`PowerSpec::model`]); every cell gets an
-    /// explicit model and therefore the three-rail machine layout with
-    /// per-rail energy columns.
-    Model(Vec<PowerModelSpec>),
-    /// One cell per `.swf` file in a directory (sorted by file name, so
-    /// expansion order — and therefore cell naming — is deterministic).
-    /// Requires an SWF base workload; the base `swf_path` and `swf_clean`
-    /// act as defaults, with each cell's path replaced by one trace file.
-    /// The directory is read at expansion time.
-    SwfDir(PathBuf),
+pub struct SweepAxis {
+    /// The swept key (`sweep.<key>` in the text format).
+    pub key: String,
+    /// The values, in expansion order.
+    pub values: Vec<String>,
 }
 
 impl SweepAxis {
-    fn key(&self) -> &'static str {
-        match self {
-            SweepAxis::Profile(_) => "profile",
-            SweepAxis::BsldThreshold(_) => "bsld_th",
-            SweepAxis::Wq(_) => "wq",
-            SweepAxis::CapFraction(_) => "cap",
-            SweepAxis::EnlargePct(_) => "enlarge_pct",
-            SweepAxis::Seed(_) => "seed",
-            SweepAxis::Model(_) => "model",
-            SweepAxis::SwfDir(_) => "swf_dir",
+    /// An axis over `key`. The values are checked when the set expands.
+    pub fn new<V: ToString>(key: &str, values: impl IntoIterator<Item = V>) -> SweepAxis {
+        SweepAxis {
+            key: key.to_string(),
+            values: values.into_iter().map(|v| v.to_string()).collect(),
         }
     }
 
-    fn len(&self) -> usize {
-        match self {
-            SweepAxis::Profile(v) => v.len(),
-            SweepAxis::BsldThreshold(v) => v.len(),
-            SweepAxis::Wq(v) => v.len(),
-            SweepAxis::CapFraction(v) => v.len(),
-            SweepAxis::EnlargePct(v) => v.len(),
-            SweepAxis::Seed(v) => v.len(),
-            SweepAxis::Model(v) => v.len(),
-            // Resolved at expansion time (the directory is read there);
-            // `expand` never consults `len` for this axis.
-            SweepAxis::SwfDir(_) => 0,
+    /// Parses the value of a `sweep.<key>` line, keeping each value's
+    /// canonical text.
+    fn parse(key: &str, value: &str) -> Result<SweepAxis, String> {
+        // A directory may contain spaces, so it is not whitespace-split.
+        if key == SWF_DIR {
+            if value.is_empty() {
+                return Err("sweep.swf_dir needs a directory".into());
+            }
+            return Ok(SweepAxis::new(SWF_DIR, [value]));
         }
-    }
-
-    /// Applies value `i` of this axis to a scenario clone, appending a
-    /// name suffix.
-    fn apply(&self, sc: &mut Scenario, i: usize) -> Result<(), ScenarioError> {
-        match self {
-            SweepAxis::Profile(v) => {
-                let p = v[i];
-                match &mut sc.workload {
-                    WorkloadSpec::Synthetic { profile, .. } => *profile = p,
-                    WorkloadSpec::Swf { .. } => {
-                        return Err(ScenarioError::Workload(
-                            "sweep.profile cannot apply to an SWF workload".into(),
-                        ))
-                    }
-                }
-                sc.name.push('-');
-                sc.name.push_str(p.key());
-            }
-            SweepAxis::BsldThreshold(v) => {
-                let th = v[i];
-                let wq = match sc.policy {
-                    PolicySpec::BsldThreshold { wq, .. } => wq,
-                    _ => WqThreshold::NoLimit,
-                };
-                sc.policy = PolicySpec::BsldThreshold { th, wq };
-                sc.name.push_str(&format!("-th{th}"));
-            }
-            SweepAxis::Wq(v) => {
-                let wq = v[i];
-                let th = match sc.policy {
-                    PolicySpec::BsldThreshold { th, .. } => th,
-                    _ => 2.0,
-                };
-                sc.policy = PolicySpec::BsldThreshold { th, wq };
-                sc.name.push_str(&format!("-wq{}", wq.label()));
-            }
-            SweepAxis::CapFraction(v) => {
-                sc.power.cap_fraction = Some(v[i]);
-                sc.name.push_str(&format!("-cap{}", v[i]));
-            }
-            SweepAxis::EnlargePct(v) => {
-                sc.cluster.enlarge_pct = v[i];
-                sc.name.push_str(&format!("-x{}", v[i]));
-            }
-            SweepAxis::Seed(v) => {
-                match &mut sc.workload {
-                    WorkloadSpec::Synthetic { seed, .. } => *seed = v[i],
-                    WorkloadSpec::Swf { .. } => {
-                        return Err(ScenarioError::Workload(
-                            "sweep.seed cannot apply to an SWF workload".into(),
-                        ))
-                    }
-                }
-                sc.name.push_str(&format!("-s{}", v[i]));
-            }
-            SweepAxis::Model(v) => {
-                sc.power.model = Some(v[i].clone());
-                sc.name.push_str(&format!("-m{}", v[i].label()));
-            }
-            // Handled directly by `ScenarioSet::expand` (the axis values
-            // are directory entries, resolved there).
-            SweepAxis::SwfDir(_) => unreachable!("SwfDir is expanded by ScenarioSet::expand"),
+        let parts: Vec<&str> = value.split_whitespace().collect();
+        if parts.is_empty() {
+            return Err(format!("sweep.{key} has no values"));
         }
-        Ok(())
+        let key = sweep_key(key)?;
+        Ok(SweepAxis {
+            key: key.name.to_string(),
+            values: parts
+                .iter()
+                .map(|v| key.canonical(v))
+                .collect::<Result<_, _>>()?,
+        })
     }
 }
 
 /// The `.swf` files of `dir`, sorted by file name — the deterministic cell
-/// order of a [`SweepAxis::SwfDir`] expansion.
+/// order of a [`SWF_DIR`] expansion.
 fn list_swf_files(dir: &Path) -> Result<Vec<PathBuf>, ScenarioError> {
     let entries = std::fs::read_dir(dir)
         .map_err(|e| ScenarioError::Io(format!("cannot read {}: {e}", dir.display())))?;
@@ -1105,28 +1029,28 @@ impl ScenarioSet {
     /// a later axis would overwrite the earlier one's value while both
     /// name suffixes stick, mislabelling every cell.
     pub fn expand(&self) -> Result<Vec<Scenario>, ScenarioError> {
+        let bad = |msg: String| ScenarioError::Parse { line: 0, msg };
         for (i, axis) in self.axes.iter().enumerate() {
-            if self.axes[..i].iter().any(|a| a.key() == axis.key()) {
-                return Err(ScenarioError::Parse {
-                    line: 0,
-                    msg: format!("duplicate sweep axis sweep.{}", axis.key()),
-                });
+            if self.axes[..i].iter().any(|a| a.key == axis.key) {
+                return Err(bad(format!("duplicate sweep axis sweep.{}", axis.key)));
             }
         }
         let mut out = vec![self.base.clone()];
         for axis in &self.axes {
-            if let SweepAxis::SwfDir(dir) = axis {
-                // The axis values are directory entries, resolved here
-                // (sorted by file name): one cell per trace, each keeping
-                // the base's cleaning flag. Only meaningful over an SWF
-                // base — a synthetic base has no path to replace.
+            if axis.values.is_empty() {
+                return Err(bad(format!("sweep.{} has no values", axis.key)));
+            }
+            let mut next = Vec::new();
+            if axis.key == SWF_DIR {
                 if matches!(self.base.workload, WorkloadSpec::Synthetic { .. }) {
                     return Err(ScenarioError::Workload(
                         "sweep.swf_dir requires `workload = swf`".into(),
                     ));
                 }
-                let files = list_swf_files(dir)?;
-                let mut next = Vec::with_capacity(out.len() * files.len());
+                let mut files = Vec::new();
+                for dir in &axis.values {
+                    files.extend(list_swf_files(Path::new(dir))?);
+                }
                 for sc in &out {
                     for file in &files {
                         let mut cell = sc.clone();
@@ -1139,21 +1063,19 @@ impl ScenarioSet {
                         next.push(cell);
                     }
                 }
-                out = next;
-                continue;
-            }
-            if axis.len() == 0 {
-                return Err(ScenarioError::Parse {
-                    line: 0,
-                    msg: format!("sweep.{} has no values", axis.key()),
-                });
-            }
-            let mut next = Vec::with_capacity(out.len() * axis.len());
-            for sc in &out {
-                for i in 0..axis.len() {
-                    let mut cell = sc.clone();
-                    axis.apply(&mut cell, i)?;
-                    next.push(cell);
+            } else {
+                let key = sweep_key(&axis.key).map_err(bad)?;
+                if !key.scope.admits(&self.base.workload) {
+                    let what = format!("sweep.{}", key.name);
+                    return Err(ScenarioError::Workload(wrong_kind(&what, &self.base)));
+                }
+                for sc in &out {
+                    for value in &axis.values {
+                        let mut cell = sc.clone();
+                        key.apply(&mut cell, value)
+                            .map_err(|e| bad(format!("sweep.{}: {e}", key.name)))?;
+                        next.push(cell);
+                    }
                 }
             }
             out = next;
@@ -1185,6 +1107,10 @@ fn fmt_opt<T: fmt::Display>(v: &Option<T>) -> String {
     }
 }
 
+fn show<T: ToString>(v: &T) -> String {
+    v.to_string()
+}
+
 /// Normalises a string field for the line-oriented format: newlines become
 /// spaces and surrounding whitespace is dropped, exactly what the parser's
 /// trim would do. Rendered files therefore always re-parse; specs whose
@@ -1193,26 +1119,82 @@ fn line_safe(s: &str) -> String {
     s.replace(['\n', '\r'], " ").trim().to_string()
 }
 
-fn render_beta(b: &BetaSpec) -> String {
-    match b {
-        BetaSpec::Fixed(v) => format!("{v}"),
-        BetaSpec::PerJob { mean, spread } => format!("{mean}~{spread}"),
+fn path_text(p: &Path) -> String {
+    line_safe(&p.display().to_string())
+}
+
+/// `None` for the `none` keyword, else `parse(s)`.
+fn or_none<V>(s: &str, parse: impl FnOnce(&str) -> Result<V, String>) -> Result<Option<V>, String> {
+    (s != "none").then(|| parse(s)).transpose()
+}
+
+/// A parser of numbers, naming `what` in its error.
+fn number<V: std::str::FromStr>(what: &'static str) -> impl Fn(&str) -> Result<V, String> {
+    move |s| s.parse().map_err(|_| format!("bad {what} {s:?}"))
+}
+
+/// A parser of a number or `none`, naming `what` in its error.
+fn opt<V: std::str::FromStr>(what: &'static str) -> impl Fn(&str) -> Result<Option<V>, String> {
+    move |s| {
+        or_none(s, |s| {
+            s.parse().map_err(|_| format!("bad {what} value {s:?}"))
+        })
     }
 }
 
-fn parse_beta(s: &str) -> Result<BetaSpec, String> {
+const KINDS: [(&str, bool); 2] = [("synthetic", false), ("swf", true)];
+
+const MODES: [(&str, SchedMode); 2] = [
+    ("easy", SchedMode::Easy),
+    ("conservative", SchedMode::Conservative),
+];
+
+const SELECTIONS: [(&str, SelectionPolicy); 3] = [
+    ("firstfit", SelectionPolicy::FirstFit),
+    ("lastfit", SelectionPolicy::LastFit),
+    ("contiguous", SelectionPolicy::ContiguousFirstFit),
+];
+
+fn parse_beta(s: &str) -> Result<Option<BetaSpec>, String> {
     let parse_f = |t: &str| {
         t.parse::<f64>()
             .ok()
             .filter(|v| v.is_finite())
             .ok_or_else(|| format!("bad β component {t:?}"))
     };
-    match s.split_once('~') {
+    or_none(s, |s| match s.split_once('~') {
         Some((m, sp)) => Ok(BetaSpec::PerJob {
             mean: parse_f(m)?,
             spread: parse_f(sp)?,
         }),
         None => Ok(BetaSpec::Fixed(parse_f(s)?)),
+    })
+}
+
+fn render_beta(b: &Option<BetaSpec>) -> Option<String> {
+    b.map(|b| match b {
+        BetaSpec::Fixed(v) => format!("{v}"),
+        BetaSpec::PerJob { mean, spread } => format!("{mean}~{spread}"),
+    })
+}
+
+fn parse_gears(s: &str) -> Result<GearSpec, String> {
+    if s == "paper" {
+        return Ok(GearSpec::Paper);
+    }
+    let n = s
+        .strip_prefix("interp:")
+        .ok_or_else(|| format!("bad gears {s:?} (paper | interp:<n>)"))?;
+    let n: u8 = n.parse().map_err(|_| format!("bad gear count {n:?}"))?;
+    // Below-2 counts behave as 2 (mirrors `build`), so the clamped render
+    // form always re-parses to the same spec.
+    Ok(GearSpec::Interpolated(n.max(2)))
+}
+
+fn render_gears(g: &GearSpec) -> String {
+    match g {
+        GearSpec::Paper => "paper".into(),
+        GearSpec::Interpolated(n) => format!("interp:{}", (*n).max(2)),
     }
 }
 
@@ -1285,6 +1267,13 @@ fn render_policy(p: &PolicySpec) -> String {
     }
 }
 
+fn parse_th(s: &str) -> Result<f64, String> {
+    s.parse::<f64>()
+        .ok()
+        .filter(|v| v.is_finite())
+        .ok_or_else(|| format!("bad BSLD threshold {s:?}"))
+}
+
 fn parse_policy(s: &str) -> Result<PolicySpec, String> {
     if s == "baseline" {
         return Ok(PolicySpec::Baseline);
@@ -1299,13 +1288,8 @@ fn parse_policy(s: &str) -> Result<PolicySpec, String> {
         let (th, wq) = body
             .split_once('/')
             .ok_or_else(|| format!("bad policy {s:?}: expected bsld:<th>/<wq>"))?;
-        let th: f64 = th
-            .parse()
-            .ok()
-            .filter(|v: &f64| v.is_finite())
-            .ok_or_else(|| format!("bad BSLD threshold {th:?}"))?;
         return Ok(PolicySpec::BsldThreshold {
-            th,
+            th: parse_th(th)?,
             wq: WqThreshold::parse(wq)?,
         });
     }
@@ -1322,14 +1306,380 @@ fn parse_bool(s: &str) -> Result<bool, String> {
     }
 }
 
-fn parse_opt<T: std::str::FromStr>(s: &str, what: &str) -> Result<Option<T>, String> {
-    if s == "none" {
-        return Ok(None);
-    }
-    s.parse()
-        .map(Some)
-        .map_err(|_| format!("bad {what} value {s:?}"))
+/// Which scenarios a key applies to, and where it may be written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scope {
+    /// `workload`: read before every other key, since the kind decides
+    /// which keys apply.
+    Kind,
+    Any,
+    Synthetic,
+    Swf,
+    /// Sweeps and overrides only: part of a key that files write whole.
+    View,
 }
+
+impl Scope {
+    fn admits(self, w: &WorkloadSpec) -> bool {
+        !matches!(
+            (self, w),
+            (Scope::Synthetic, WorkloadSpec::Swf { .. })
+                | (Scope::Swf, WorkloadSpec::Synthetic { .. })
+        )
+    }
+}
+
+/// What an accessor returns: the value's canonical text when it reads
+/// (`None` omits the line), nothing when it writes.
+type Access = Result<Option<String>, String>;
+
+/// One key of the text format, defined once for `.scn` files, sweep axes
+/// and serve overrides.
+struct Key<T> {
+    name: &'static str,
+    scope: Scope,
+    /// A file of the key's workload kind must set it.
+    required: bool,
+    /// `access(target, None)` reads the value; `access(target, Some(text))`
+    /// parses and validates `text`, then sets it.
+    access: fn(&mut T, Option<&str>) -> Access,
+    /// The cell-name suffix of a swept or overridden value, from its
+    /// canonical text. A key without one cannot be swept.
+    suffix: Option<fn(&str) -> String>,
+}
+
+impl<T> Key<T> {
+    const fn new(
+        name: &'static str,
+        scope: Scope,
+        access: fn(&mut T, Option<&str>) -> Access,
+    ) -> Self {
+        Key {
+            name,
+            scope,
+            required: false,
+            access,
+            suffix: None,
+        }
+    }
+
+    const fn required(mut self) -> Self {
+        self.required = true;
+        self
+    }
+
+    const fn sweep(mut self, suffix: fn(&str) -> String) -> Self {
+        self.suffix = Some(suffix);
+        self
+    }
+
+    fn set(&self, target: &mut T, value: &str) -> Result<(), String> {
+        (self.access)(target, Some(value)).map(drop)
+    }
+
+    /// The target's value as text (`none` when unset).
+    fn text(&self, target: &mut T) -> String {
+        let text = (self.access)(target, None).ok().flatten();
+        text.unwrap_or_else(|| "none".into())
+    }
+}
+
+impl Key<Scenario> {
+    /// The canonical text of `value`, validated as this key's value.
+    fn canonical(&self, value: &str) -> Result<String, String> {
+        let mut sc = blank(self.scope == Scope::Swf);
+        self.set(&mut sc, value)?;
+        Ok(self.text(&mut sc))
+    }
+
+    /// Sets a swept or overridden value and appends its cell-name suffix.
+    fn apply(&self, sc: &mut Scenario, value: &str) -> Result<(), String> {
+        self.set(sc, value)?;
+        if let Some(suffix) = self.suffix {
+            let suffix = suffix(&self.text(sc));
+            sc.name.push_str(&suffix);
+        }
+        Ok(())
+    }
+}
+
+/// Reads `slot` as text (`value` is `None`), or parses `value` into it.
+fn field<V, R: Into<Option<String>>>(
+    slot: &mut V,
+    value: Option<&str>,
+    parse: impl FnOnce(&str) -> Result<V, String>,
+    text: impl FnOnce(&V) -> R,
+) -> Access {
+    match value {
+        Some(v) => {
+            *slot = parse(v)?;
+            Ok(None)
+        }
+        None => Ok(text(slot).into()),
+    }
+}
+
+/// A `field` whose value is one of `names`; errors list every name.
+fn named<V: Copy + PartialEq>(
+    slot: &mut V,
+    value: Option<&str>,
+    names: &[(&str, V)],
+    what: &str,
+) -> Access {
+    let parse = |s: &str| match names.iter().find(|(name, _)| *name == s) {
+        Some(&(_, v)) => Ok(v),
+        None => {
+            let all: Vec<&str> = names.iter().map(|(name, _)| *name).collect();
+            Err(format!("bad {what} {s:?} ({})", all.join(" | ")))
+        }
+    };
+    field(slot, value, parse, |v| {
+        names
+            .iter()
+            .find(|(_, x)| x == v)
+            .map(|(name, _)| name.to_string())
+    })
+}
+
+/// A scenario with a blank workload of one kind: a synthetic one with zero
+/// jobs, or an empty SWF path that is cleaned by default.
+fn blank(swf: bool) -> Scenario {
+    let mut sc = Scenario::synthetic("scenario", ProfileName::Ctc, 0, 0);
+    if swf {
+        sc.workload = WorkloadSpec::Swf {
+            path: PathBuf::new(),
+            clean: true,
+        };
+    }
+    sc
+}
+
+fn is_swf(sc: &Scenario) -> bool {
+    matches!(sc.workload, WorkloadSpec::Swf { .. })
+}
+
+/// The error for a sweep or override of a key of the other workload kind.
+fn wrong_kind(what: &str, sc: &Scenario) -> String {
+    let kind = if is_swf(sc) { "an SWF" } else { "a synthetic" };
+    format!("{what} cannot apply to {kind} workload")
+}
+
+/// The sweepable key `name`.
+fn sweep_key(name: &str) -> Result<&'static Key<Scenario>, String> {
+    let sweepable = || KEYS.iter().filter(|k| k.suffix.is_some());
+    sweepable().find(|k| k.name == name).ok_or_else(|| {
+        let names: Vec<&str> = sweepable().map(|k| k.name).chain([SWF_DIR]).collect();
+        format!("unknown sweep axis {name:?} ({})", names.join(", "))
+    })
+}
+
+/// A scenario key (the parameter type pins the accessor's argument types).
+const fn key(
+    name: &'static str,
+    scope: Scope,
+    access: fn(&mut Scenario, Option<&str>) -> Access,
+) -> Key<Scenario> {
+    Key::new(name, scope, access)
+}
+
+/// Every scenario key, in the order [`Scenario::render`] writes them.
+const KEYS: &[Key<Scenario>] = &[
+    key("scenario", Scope::Any, |sc, v| {
+        field(&mut sc.name, v, |v| Ok(v.into()), |n| line_safe(n))
+    }),
+    key("workload", Scope::Kind, |sc, v| {
+        let mut swf = is_swf(sc);
+        let text = named(&mut swf, v, &KINDS, "workload kind")?;
+        if swf != is_swf(sc) {
+            sc.workload = blank(swf).workload;
+        }
+        Ok(text)
+    }),
+    key("profile", Scope::Synthetic, |sc, v| {
+        let WorkloadSpec::Synthetic { profile, .. } = &mut sc.workload else {
+            return Ok(None);
+        };
+        field(profile, v, ProfileName::parse, |p| p.key().to_string())
+    })
+    .required()
+    .sweep(|v| format!("-{v}")),
+    key("jobs", Scope::Synthetic, |sc, v| {
+        let WorkloadSpec::Synthetic { jobs, .. } = &mut sc.workload else {
+            return Ok(None);
+        };
+        field(jobs, v, number("jobs"), show)
+    })
+    .required(),
+    key("seed", Scope::Synthetic, |sc, v| {
+        let WorkloadSpec::Synthetic { seed, .. } = &mut sc.workload else {
+            return Ok(None);
+        };
+        field(seed, v, number("seed"), show)
+    })
+    .required()
+    .sweep(|v| format!("-s{v}")),
+    key("scale_cpus", Scope::Synthetic, |sc, v| {
+        let WorkloadSpec::Synthetic { scale_cpus, .. } = &mut sc.workload else {
+            return Ok(None);
+        };
+        field(scale_cpus, v, opt("scale_cpus"), |c| c.as_ref().map(show))
+    }),
+    key("beta", Scope::Synthetic, |sc, v| {
+        let WorkloadSpec::Synthetic { beta, .. } = &mut sc.workload else {
+            return Ok(None);
+        };
+        field(beta, v, parse_beta, render_beta)
+    })
+    .sweep(|v| format!("-beta{v}")),
+    key("swf_path", Scope::Swf, |sc, v| {
+        let WorkloadSpec::Swf { path, .. } = &mut sc.workload else {
+            return Ok(None);
+        };
+        field(path, v, |v| Ok(v.into()), |p| path_text(p))
+    })
+    .required(),
+    key("swf_clean", Scope::Swf, |sc, v| {
+        let WorkloadSpec::Swf { clean, .. } = &mut sc.workload else {
+            return Ok(None);
+        };
+        field(clean, v, parse_bool, show)
+    }),
+    key("enlarge_pct", Scope::Any, |sc, v| {
+        field(&mut sc.cluster.enlarge_pct, v, number("enlarge_pct"), show)
+    })
+    .sweep(|v| format!("-x{v}")),
+    key("gears", Scope::Any, |sc, v| {
+        field(&mut sc.cluster.gears, v, parse_gears, render_gears)
+    })
+    .sweep(|v| format!("-gears{v}")),
+    key("policy", Scope::Any, |sc, v| {
+        field(&mut sc.policy, v, parse_policy, render_policy)
+    })
+    .sweep(|v| format!("-{v}")),
+    key("cap", Scope::Any, |sc, v| {
+        let parse = |v: &str| match opt::<f64>("cap")(v)? {
+            Some(f) if !f.is_finite() || f <= 0.0 => {
+                Err(format!("cap fraction must be positive, got {f}"))
+            }
+            cap => Ok(cap),
+        };
+        field(&mut sc.power.cap_fraction, v, parse, fmt_opt)
+    })
+    .sweep(|v| format!("-cap{v}")),
+    key("soft_escape", Scope::Any, |sc, v| {
+        field(&mut sc.power.soft_wq_escape, v, opt("soft_escape"), fmt_opt)
+    }),
+    key("sleep", Scope::Any, |sc, v| {
+        field(&mut sc.power.sleep, v, parse_sleep, render_sleep)
+    })
+    .sweep(|v| format!("-sleep{v}")),
+    key("boost", Scope::Any, |sc, v| {
+        field(&mut sc.power.boost, v, opt("boost"), fmt_opt)
+    })
+    .sweep(|v| format!("-boost{v}")),
+    // Written only when set: files that never mention a model keep their
+    // exact bytes (and so their campaign cell ids).
+    key("model", Scope::Any, |sc, v| {
+        let parse = |v: &str| or_none(v, PowerModelSpec::parse);
+        field(&mut sc.power.model, v, parse, |m| {
+            m.as_ref().map(PowerModelSpec::render)
+        })
+    })
+    .sweep(|v| match v.strip_prefix("empirical:") {
+        // An empirical curve is named by its CSV file's stem.
+        Some(path) => {
+            let stem = Path::new(path).file_stem().and_then(|s| s.to_str());
+            format!("-memp-{}", line_safe(stem.unwrap_or("csv")))
+        }
+        None => format!("-m{v}"),
+    }),
+    key("observe", Scope::Any, |sc, v| {
+        field(&mut sc.power.observe, v, parse_bool, show)
+    }),
+    key("mode", Scope::Any, |sc, v| {
+        named(&mut sc.engine.mode, v, &MODES, "mode")
+    })
+    .sweep(|v| format!("-{v}")),
+    key("backfill", Scope::Any, |sc, v| {
+        field(&mut sc.engine.backfill, v, parse_bool, show)
+    })
+    .sweep(|v| format!("-bf{v}")),
+    // A retired key: validated as a bool, then ignored. Its constant line
+    // stays because campaign cell ids hash the rendered text.
+    key("incremental", Scope::Any, |_, v| {
+        field(&mut true, v, parse_bool, show)
+    }),
+    key("selection", Scope::Any, |sc, v| {
+        named(&mut sc.engine.selection, v, &SELECTIONS, "selection")
+    })
+    .sweep(|v| format!("-{v}")),
+    key("trace", Scope::Any, |sc, v| {
+        field(&mut sc.engine.trace, v, parse_bool, show)
+    }),
+    // A directory literally named "none" is written as "./none", apart
+    // from the absent-value keyword.
+    key("out_dir", Scope::Any, |sc, v| {
+        let parse = |v: &str| {
+            or_none(v, |v| {
+                Ok(PathBuf::from(if v == "./none" { "none" } else { v }))
+            })
+        };
+        let text = |dir: &Option<PathBuf>| match dir.as_deref().map(path_text) {
+            Some(dir) if dir == "none" => "./none".to_string(),
+            dir => fmt_opt(&dir),
+        };
+        field(&mut sc.output.out_dir, v, parse, text)
+    }),
+    // Sweeping `bsld_th` or `wq` forces the BSLD-threshold policy and keeps
+    // the other threshold: the base policy's, else no WQ limit or 2.0.
+    key("bsld_th", Scope::View, |sc, v| {
+        let (mut th, wq) = thresholds(&sc.policy);
+        let text = field(&mut th, v, parse_th, show)?;
+        if v.is_some() {
+            sc.policy = PolicySpec::BsldThreshold { th, wq };
+        }
+        Ok(text)
+    })
+    .sweep(|v| format!("-th{v}")),
+    key("wq", Scope::View, |sc, v| {
+        let (th, mut wq) = thresholds(&sc.policy);
+        let text = field(&mut wq, v, WqThreshold::parse, WqThreshold::label)?;
+        if v.is_some() {
+            sc.policy = PolicySpec::BsldThreshold { th, wq };
+        }
+        Ok(text)
+    })
+    .sweep(|v| format!("-wq{v}")),
+];
+
+fn thresholds(p: &PolicySpec) -> (f64, WqThreshold) {
+    match *p {
+        PolicySpec::BsldThreshold { th, wq } => (th, wq),
+        _ => (2.0, WqThreshold::NoLimit),
+    }
+}
+
+/// The keys of a whole [`ScenarioSet`], written after its base scenario.
+const SET_KEYS: &[Key<ScenarioSet>] = &[
+    Key::new("replications", Scope::Any, |set, v| {
+        let parse = |v: &str| match number("replications")(v)? {
+            0 => Err("replications must be at least 1".to_string()),
+            n => Ok(n),
+        };
+        field(&mut set.replications, v, parse, show)
+    }),
+    // Zero is allowed (a degenerate "fail every unit instantly" budget the
+    // tests rely on); negatives and non-finite values are nonsense.
+    Key::new("cell_budget_s", Scope::Any, |set, v| {
+        let parse = |v: &str| match opt::<f64>("cell_budget_s")(v)? {
+            Some(b) if !b.is_finite() || b < 0.0 => Err(format!(
+                "cell_budget_s must be a finite non-negative number, got {b}"
+            )),
+            budget => Ok(budget),
+        };
+        field(&mut set.cell_budget_s, v, parse, fmt_opt)
+    }),
+];
 
 impl Scenario {
     /// Renders the canonical text form (every key, canonical order); the
@@ -1339,83 +1689,8 @@ impl Scenario {
     /// surrounding whitespace dropped, matching the parser's trim), so the
     /// rendered file always re-parses.
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::from("# bsld scenario v1\n");
-        let _ = writeln!(out, "scenario = {}", line_safe(&self.name));
-        match &self.workload {
-            WorkloadSpec::Synthetic {
-                profile,
-                jobs,
-                seed,
-                scale_cpus,
-                beta,
-            } => {
-                out.push_str("workload = synthetic\n");
-                let _ = writeln!(out, "profile = {}", profile.key());
-                let _ = writeln!(out, "jobs = {jobs}");
-                let _ = writeln!(out, "seed = {seed}");
-                if let Some(c) = scale_cpus {
-                    let _ = writeln!(out, "scale_cpus = {c}");
-                }
-                if let Some(b) = beta {
-                    let _ = writeln!(out, "beta = {}", render_beta(b));
-                }
-            }
-            WorkloadSpec::Swf { path, clean } => {
-                out.push_str("workload = swf\n");
-                let _ = writeln!(out, "swf_path = {}", line_safe(&path.display().to_string()));
-                let _ = writeln!(out, "swf_clean = {clean}");
-            }
-        }
-        let _ = writeln!(out, "enlarge_pct = {}", self.cluster.enlarge_pct);
-        match self.cluster.gears {
-            GearSpec::Paper => out.push_str("gears = paper\n"),
-            GearSpec::Interpolated(n) => {
-                let _ = writeln!(out, "gears = interp:{}", n.max(2));
-            }
-        }
-        let _ = writeln!(out, "policy = {}", render_policy(&self.policy));
-        let _ = writeln!(out, "cap = {}", fmt_opt(&self.power.cap_fraction));
-        let _ = writeln!(out, "soft_escape = {}", fmt_opt(&self.power.soft_wq_escape));
-        let _ = writeln!(out, "sleep = {}", render_sleep(&self.power.sleep));
-        let _ = writeln!(out, "boost = {}", fmt_opt(&self.power.boost));
-        // Rendered only when set: files that never mention a model keep
-        // their exact byte sequence (and so their campaign cell ids).
-        if let Some(m) = &self.power.model {
-            let _ = writeln!(out, "model = {}", m.render());
-        }
-        let _ = writeln!(out, "observe = {}", self.power.observe);
-        let mode = match self.engine.mode {
-            SchedMode::Easy => "easy",
-            SchedMode::Conservative => "conservative",
-        };
-        let _ = writeln!(out, "mode = {mode}");
-        let _ = writeln!(out, "backfill = {}", self.engine.backfill);
-        // `incremental` is a retired key; the constant line stays because
-        // campaign cell ids hash this text.
-        out.push_str("incremental = true\n");
-        let selection = match self.engine.selection {
-            SelectionPolicy::FirstFit => "firstfit",
-            SelectionPolicy::LastFit => "lastfit",
-            SelectionPolicy::ContiguousFirstFit => "contiguous",
-        };
-        let _ = writeln!(out, "selection = {selection}");
-        let _ = writeln!(out, "trace = {}", self.engine.trace);
-        match &self.output.out_dir {
-            Some(dir) => {
-                // A directory literally named "none" is escaped as
-                // "./none" so it cannot collide with the absent-value
-                // keyword; the parser maps that form back.
-                let text = line_safe(&dir.display().to_string());
-                let text = if text == "none" {
-                    "./none".into()
-                } else {
-                    text
-                };
-                let _ = writeln!(out, "out_dir = {text}");
-            }
-            None => out.push_str("out_dir = none\n"),
-        }
+        render_keys(&mut out, KEYS, &mut self.clone());
         out
     }
 
@@ -1445,405 +1720,155 @@ impl Scenario {
     }
 }
 
+/// Writes one `key = value` line per key that `target` gives a value.
+/// Accessors read through the slot they write, so `target` is a copy.
+fn render_keys<T>(out: &mut String, keys: &[Key<T>], target: &mut T) {
+    use std::fmt::Write as _;
+    for key in keys.iter().filter(|k| k.scope != Scope::View) {
+        if let Ok(Some(value)) = (key.access)(target, None) {
+            let _ = writeln!(out, "{} = {value}", key.name);
+        }
+    }
+}
+
 impl ScenarioSet {
-    /// Renders the set: the base scenario, the replication count, then one
-    /// `sweep.<axis>` line per axis.
+    /// Renders the set: the base scenario, the set keys, then one
+    /// `sweep.<key>` line per axis.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = self.base.render();
-        let _ = writeln!(out, "replications = {}", self.replications);
-        let _ = writeln!(out, "cell_budget_s = {}", fmt_opt(&self.cell_budget_s));
+        render_keys(&mut out, SET_KEYS, &mut self.clone());
         for axis in &self.axes {
-            let values = match axis {
-                SweepAxis::Profile(v) => v.iter().map(|p| p.key().to_string()).collect::<Vec<_>>(),
-                SweepAxis::BsldThreshold(v) => v.iter().map(|x| x.to_string()).collect(),
-                SweepAxis::Wq(v) => v.iter().map(|w| w.label()).collect(),
-                SweepAxis::CapFraction(v) => v.iter().map(|x| x.to_string()).collect(),
-                SweepAxis::EnlargePct(v) => v.iter().map(|x| x.to_string()).collect(),
-                SweepAxis::Seed(v) => v.iter().map(|x| x.to_string()).collect(),
-                // Values are whitespace-split on the way back in, so an
-                // empirical CSV path containing spaces cannot ride this
-                // axis (use per-scenario `model =` lines instead).
-                SweepAxis::Model(v) => v.iter().map(|m| m.render()).collect(),
-                // A single path value (may contain spaces — it is not
-                // whitespace-split on the way back in).
-                SweepAxis::SwfDir(dir) => vec![line_safe(&dir.display().to_string())],
-            };
-            let _ = writeln!(out, "sweep.{} = {}", axis.key(), values.join(" "));
+            let _ = writeln!(out, "sweep.{} = {}", axis.key, axis.values.join(" "));
         }
         out
     }
 
     /// Parses a scenario file, sweep axes included. Unknown keys are
     /// errors; missing keys take the documented defaults (workload keys
-    /// are required).
+    /// are required). Each key's syntax lives in the key table; only the
+    /// constraints between keys are checked here, once every line is read.
     pub fn parse(text: &str) -> Result<ScenarioSet, ScenarioError> {
         let err = |line: usize, msg: String| ScenarioError::Parse { line, msg };
-
-        let mut name: Option<String> = None;
-        let mut workload_kind: Option<(usize, String)> = None;
-        let mut profile: Option<ProfileName> = None;
-        let mut jobs: Option<usize> = None;
-        let mut seed: Option<u64> = None;
-        let mut scale_cpus: Option<u32> = None;
-        let mut beta: Option<BetaSpec> = None;
-        let mut swf_path: Option<PathBuf> = None;
-        let mut swf_clean: Option<bool> = None;
-        let mut cluster = ClusterSpec::default();
-        let mut policy = PolicySpec::Baseline;
-        let mut power = PowerSpec::off();
-        let mut engine = EngineSpec::default();
-        let mut output = OutputSpec::default();
-        let mut axes: Vec<SweepAxis> = Vec::new();
-        let mut replications: Option<(usize, u32)> = None;
-        let mut cell_budget_s: Option<f64> = None;
-
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| err(lineno, format!("expected `key = value`, got {line:?}")))?;
-            let key = key.trim();
-            let value = value.trim();
-            let e = |msg: String| err(lineno, msg);
-            if let Some(axis_key) = key.strip_prefix("sweep.") {
-                // swf_dir takes a single path operand — paths may contain
-                // spaces, so it is exempt from the whitespace split below.
-                if axis_key == "swf_dir" {
-                    if value.is_empty() {
-                        return Err(e("sweep.swf_dir needs a directory".into()));
-                    }
-                    if axes.iter().any(|a| a.key() == "swf_dir") {
-                        return Err(e("duplicate sweep axis sweep.swf_dir".into()));
-                    }
-                    axes.push(SweepAxis::SwfDir(PathBuf::from(value)));
+        let lines: Vec<(usize, &str)> = text
+            .lines()
+            .enumerate()
+            .map(|(i, raw)| (i + 1, raw.trim()))
+            .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+            .collect();
+        fn split(line: &str) -> Option<(&str, &str)> {
+            line.split_once('=').map(|(k, v)| (k.trim(), v.trim()))
+        }
+        let mut set = ScenarioSet::single(blank(false));
+        // The workload kind decides which keys apply, so it is read first.
+        // As for every key the last line wins; its error waits until every
+        // other line is checked.
+        let kind = lines.iter().rev().find_map(|&(n, line)| {
+            let (key, value) = split(line)?;
+            let key = KEYS
+                .iter()
+                .find(|k| k.name == key && k.scope == Scope::Kind)?;
+            Some((n, key.set(&mut set.base, value)))
+        });
+        // The last line of every key read.
+        let mut seen: Vec<(&str, usize)> = Vec::new();
+        for &(n, line) in &lines {
+            let e = |msg: String| err(n, msg);
+            let (key, value) =
+                split(line).ok_or_else(|| e(format!("expected `key = value`, got {line:?}")))?;
+            if let Some(axis) = key.strip_prefix("sweep.") {
+                let axis = SweepAxis::parse(axis, value).map_err(e)?;
+                if set.axes.iter().any(|a| a.key == axis.key) {
+                    return Err(e(format!("duplicate sweep axis sweep.{}", axis.key)));
+                }
+                set.axes.push(axis);
+            } else if let Some(k) = SET_KEYS.iter().find(|k| k.name == key) {
+                k.set(&mut set, value).map_err(e)?;
+                seen.push((k.name, n));
+            } else {
+                let k = KEYS
+                    .iter()
+                    .find(|k| k.name == key && k.scope != Scope::View)
+                    .ok_or_else(|| e(format!("unknown key {key:?}")))?;
+                if k.scope == Scope::Kind {
                     continue;
                 }
-                let parts: Vec<&str> = value.split_whitespace().collect();
-                if parts.is_empty() {
-                    return Err(e(format!("sweep.{axis_key} has no values")));
+                // A key of the other workload kind is still validated; it
+                // is reported below.
+                if k.scope.admits(&set.base.workload) {
+                    k.set(&mut set.base, value)
+                } else {
+                    k.set(&mut blank(k.scope == Scope::Swf), value)
                 }
-                let axis = match axis_key {
-                    "profile" => SweepAxis::Profile(
-                        parts
-                            .iter()
-                            .map(|p| ProfileName::parse(p))
-                            .collect::<Result<_, _>>()
-                            .map_err(e)?,
-                    ),
-                    "bsld_th" => SweepAxis::BsldThreshold(
-                        parts
-                            .iter()
-                            .map(|p| {
-                                p.parse::<f64>()
-                                    .ok()
-                                    .filter(|v| v.is_finite())
-                                    .ok_or_else(|| format!("bad BSLD threshold {p:?}"))
-                            })
-                            .collect::<Result<_, _>>()
-                            .map_err(e)?,
-                    ),
-                    "wq" => SweepAxis::Wq(
-                        parts
-                            .iter()
-                            .map(|p| WqThreshold::parse(p))
-                            .collect::<Result<_, _>>()
-                            .map_err(e)?,
-                    ),
-                    "cap" => SweepAxis::CapFraction(
-                        parts
-                            .iter()
-                            .map(|p| {
-                                p.parse::<f64>()
-                                    .ok()
-                                    .filter(|v| v.is_finite() && *v > 0.0)
-                                    .ok_or_else(|| {
-                                        format!("bad cap fraction {p:?} (must be positive)")
-                                    })
-                            })
-                            .collect::<Result<_, _>>()
-                            .map_err(e)?,
-                    ),
-                    "enlarge_pct" => SweepAxis::EnlargePct(
-                        parts
-                            .iter()
-                            .map(|p| {
-                                p.parse::<u32>()
-                                    .map_err(|_| format!("bad enlargement {p:?}"))
-                            })
-                            .collect::<Result<_, _>>()
-                            .map_err(e)?,
-                    ),
-                    "seed" => SweepAxis::Seed(
-                        parts
-                            .iter()
-                            .map(|p| p.parse::<u64>().map_err(|_| format!("bad seed {p:?}")))
-                            .collect::<Result<_, _>>()
-                            .map_err(e)?,
-                    ),
-                    "model" => SweepAxis::Model(
-                        parts
-                            .iter()
-                            .map(|p| PowerModelSpec::parse(p))
-                            .collect::<Result<_, _>>()
-                            .map_err(e)?,
-                    ),
-                    other => return Err(e(format!(
-                        "unknown sweep axis {other:?} (profile, bsld_th, wq, cap, enlarge_pct, seed, model, swf_dir)"
-                    ))),
-                };
-                // A repeated axis would cartesian-multiply with itself:
-                // later applications overwrite the earlier value while both
-                // name suffixes stick, silently mislabelling every cell.
-                if axes.iter().any(|a: &SweepAxis| a.key() == axis.key()) {
-                    return Err(err(
-                        lineno,
-                        format!("duplicate sweep axis sweep.{}", axis.key()),
-                    ));
-                }
-                axes.push(axis);
-                continue;
-            }
-            match key {
-                "scenario" => name = Some(value.to_string()),
-                "workload" => workload_kind = Some((lineno, value.to_string())),
-                "profile" => profile = Some(ProfileName::parse(value).map_err(e)?),
-                "jobs" => {
-                    jobs = Some(
-                        value
-                            .parse()
-                            .map_err(|_| e(format!("bad jobs {value:?}")))?,
-                    )
-                }
-                "seed" => {
-                    seed = Some(
-                        value
-                            .parse()
-                            .map_err(|_| e(format!("bad seed {value:?}")))?,
-                    )
-                }
-                "scale_cpus" => {
-                    scale_cpus = Some(
-                        value
-                            .parse()
-                            .map_err(|_| e(format!("bad scale_cpus {value:?}")))?,
-                    )
-                }
-                "beta" => beta = Some(parse_beta(value).map_err(e)?),
-                "swf_path" => swf_path = Some(PathBuf::from(value)),
-                "swf_clean" => swf_clean = Some(parse_bool(value).map_err(e)?),
-                "enlarge_pct" => {
-                    cluster.enlarge_pct = value
-                        .parse()
-                        .map_err(|_| e(format!("bad enlarge_pct {value:?}")))?
-                }
-                "gears" => {
-                    cluster.gears = if value == "paper" {
-                        GearSpec::Paper
-                    } else if let Some(n) = value.strip_prefix("interp:") {
-                        let n: u8 = n.parse().map_err(|_| e(format!("bad gear count {n:?}")))?;
-                        // Below-2 counts behave as 2 (mirrors `build`), so
-                        // the clamped render form always re-parses to the
-                        // same spec.
-                        GearSpec::Interpolated(n.max(2))
-                    } else {
-                        return Err(e(format!("bad gears {value:?} (paper | interp:<n>)")));
-                    }
-                }
-                "policy" => policy = parse_policy(value).map_err(e)?,
-                "cap" => {
-                    power.cap_fraction = parse_opt::<f64>(value, "cap").map_err(e)?;
-                    if let Some(f) = power.cap_fraction {
-                        if !f.is_finite() || f <= 0.0 {
-                            return Err(e(format!("cap fraction must be positive, got {f}")));
-                        }
-                    }
-                }
-                "soft_escape" => {
-                    power.soft_wq_escape = parse_opt(value, "soft_escape").map_err(e)?
-                }
-                "sleep" => power.sleep = parse_sleep(value).map_err(e)?,
-                "boost" => power.boost = parse_opt(value, "boost").map_err(e)?,
-                "model" => {
-                    power.model = if value == "none" {
-                        None
-                    } else {
-                        Some(PowerModelSpec::parse(value).map_err(e)?)
-                    }
-                }
-                "observe" => power.observe = parse_bool(value).map_err(e)?,
-                "mode" => {
-                    engine.mode = match value {
-                        "easy" => SchedMode::Easy,
-                        "conservative" => SchedMode::Conservative,
-                        other => {
-                            return Err(e(format!("bad mode {other:?} (easy | conservative)")))
-                        }
-                    }
-                }
-                "backfill" => engine.backfill = parse_bool(value).map_err(e)?,
-                // A retired key: still validated as a bool, then ignored.
-                "incremental" => {
-                    parse_bool(value).map_err(e)?;
-                }
-                "selection" => {
-                    engine.selection = match value {
-                        "firstfit" => SelectionPolicy::FirstFit,
-                        "lastfit" => SelectionPolicy::LastFit,
-                        "contiguous" => SelectionPolicy::ContiguousFirstFit,
-                        other => {
-                            return Err(e(format!(
-                                "bad selection {other:?} (firstfit | lastfit | contiguous)"
-                            )))
-                        }
-                    }
-                }
-                "trace" => engine.trace = parse_bool(value).map_err(e)?,
-                "replications" => {
-                    let n: u32 = value
-                        .parse()
-                        .map_err(|_| e(format!("bad replications {value:?}")))?;
-                    if n == 0 {
-                        return Err(e("replications must be at least 1".into()));
-                    }
-                    replications = Some((lineno, n));
-                }
-                "cell_budget_s" => {
-                    cell_budget_s = parse_opt::<f64>(value, "cell_budget_s").map_err(e)?;
-                    if let Some(b) = cell_budget_s {
-                        // Zero is allowed (a degenerate "fail every unit
-                        // instantly" budget the tests rely on); negatives
-                        // and non-finite values are nonsense.
-                        if !b.is_finite() || b < 0.0 {
-                            return Err(e(format!(
-                                "cell_budget_s must be a finite non-negative number, got {b}"
-                            )));
-                        }
-                    }
-                }
-                "out_dir" => {
-                    output.out_dir = match value {
-                        "none" => None,
-                        // The render-side escape for a directory literally
-                        // named "none".
-                        "./none" => Some(PathBuf::from("none")),
-                        other => Some(PathBuf::from(other)),
-                    }
-                }
-                other => return Err(e(format!("unknown key {other:?}"))),
+                .map_err(e)?;
+                seen.push((k.name, n));
             }
         }
+        let line_of = |name: &str| seen.iter().rev().find(|(k, _)| *k == name).map(|s| s.1);
 
         let (wl_line, kind) =
-            workload_kind.ok_or_else(|| err(0, "missing `workload = synthetic|swf`".into()))?;
+            kind.ok_or_else(|| err(0, "missing `workload = synthetic|swf`".into()))?;
+        kind.map_err(|msg| err(wl_line, msg))?;
+        let base = &set.base;
+        let kind = if is_swf(base) { "swf" } else { "synthetic" };
         // Keys that belong to the other workload kind are errors, not
         // silently discarded advice: `jobs = 100` next to `workload = swf`
         // would otherwise read as a truncated replay that never happens.
-        let reject_keys = |present: &[(&str, bool)], kind: &str| -> Result<(), ScenarioError> {
-            for (key, set) in present {
-                if *set {
-                    return Err(err(
-                        wl_line,
-                        format!("`{key}` does not apply to a {kind} workload"),
-                    ));
-                }
-            }
-            Ok(())
-        };
-        let workload = match kind.as_str() {
-            "synthetic" => {
-                reject_keys(
-                    &[
-                        ("swf_path", swf_path.is_some()),
-                        ("swf_clean", swf_clean.is_some()),
-                    ],
-                    "synthetic",
-                )?;
-                WorkloadSpec::Synthetic {
-                    profile: profile
-                        .ok_or_else(|| err(wl_line, "synthetic workload needs `profile`".into()))?,
-                    jobs: jobs
-                        .ok_or_else(|| err(wl_line, "synthetic workload needs `jobs`".into()))?,
-                    seed: seed
-                        .ok_or_else(|| err(wl_line, "synthetic workload needs `seed`".into()))?,
-                    scale_cpus,
-                    beta,
-                }
-            }
-            "swf" => {
-                reject_keys(
-                    &[
-                        ("profile", profile.is_some()),
-                        ("jobs", jobs.is_some()),
-                        ("seed", seed.is_some()),
-                        ("scale_cpus", scale_cpus.is_some()),
-                        ("beta", beta.is_some()),
-                    ],
-                    "swf",
-                )?;
-                WorkloadSpec::Swf {
-                    path: swf_path
-                        .ok_or_else(|| err(wl_line, "swf workload needs `swf_path`".into()))?,
-                    clean: swf_clean.unwrap_or(true),
-                }
-            }
-            other => {
-                return Err(err(
-                    wl_line,
-                    format!("bad workload kind {other:?} (synthetic | swf)"),
-                ))
-            }
-        };
-
+        if let Some(k) = KEYS
+            .iter()
+            .find(|k| line_of(k.name).is_some() && !k.scope.admits(&base.workload))
+        {
+            let msg = format!("`{}` does not apply to a {kind} workload", k.name);
+            return Err(err(wl_line, msg));
+        }
+        if let Some(k) = KEYS
+            .iter()
+            .find(|k| k.required && k.scope.admits(&base.workload) && line_of(k.name).is_none())
+        {
+            return Err(err(wl_line, format!("{kind} workload needs `{}`", k.name)));
+        }
         // A trace-directory sweep only makes sense over an SWF base: the
         // synthetic keys (profile/jobs/seed) have nothing to say about the
         // files, and silently switching workload kinds per cell would hide
         // a spec error.
-        if axes.iter().any(|a| matches!(a, SweepAxis::SwfDir(_)))
-            && matches!(workload, WorkloadSpec::Synthetic { .. })
-        {
+        if set.axes.iter().any(|a| a.key == SWF_DIR) && !is_swf(base) {
             return Err(err(
                 wl_line,
                 "sweep.swf_dir requires `workload = swf` (the synthetic keys do not apply)".into(),
             ));
         }
-
         // Replicating a deterministic SWF replay would repeat one number N
         // times and report a zero-width interval around it — reject rather
         // than hand out fake statistics.
-        let replications = match replications {
-            Some((line, n)) => {
-                if n > 1 && matches!(workload, WorkloadSpec::Swf { .. }) {
-                    return Err(err(
-                        line,
-                        "replications > 1 requires a synthetic workload \
-                         (an SWF replay has no seed to vary)"
-                            .into(),
-                    ));
-                }
-                n
-            }
-            None => 1,
-        };
+        if set.replications > 1 && is_swf(base) {
+            return Err(err(
+                line_of("replications").unwrap_or(0),
+                "replications > 1 requires a synthetic workload \
+                 (an SWF replay has no seed to vary)"
+                    .into(),
+            ));
+        }
+        Ok(set)
+    }
 
-        Ok(ScenarioSet {
-            base: Scenario {
-                name: name.unwrap_or_else(|| "scenario".into()),
-                workload,
-                cluster,
-                policy,
-                power,
-                engine,
-                output,
-            },
-            axes,
-            replications,
-            cell_budget_s,
-        })
+    /// Sets one key as a serve override would: a set key (such as
+    /// `cell_budget_s`), or a scenario key on the base, which then takes
+    /// the key's cell-name suffix as a swept value does. The value is
+    /// validated as in a `.scn` file.
+    pub fn set_override(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let what = format!("override {key}");
+        if let Some(k) = SET_KEYS.iter().find(|k| k.name == key) {
+            return k.set(self, value).map_err(|e| format!("{what}: {e}"));
+        }
+        let k = KEYS
+            .iter()
+            .find(|k| k.name == key && k.scope != Scope::Kind)
+            .ok_or_else(|| format!("unknown {what}"))?;
+        if !k.scope.admits(&self.base.workload) {
+            return Err(wrong_kind(&what, &self.base));
+        }
+        k.apply(&mut self.base, value)
+            .map_err(|e| format!("{what}: {e}"))
     }
 }
 
@@ -1963,9 +1988,9 @@ mod tests {
         let set = ScenarioSet {
             base: base(),
             axes: vec![
-                SweepAxis::BsldThreshold(vec![1.5, 3.0]),
-                SweepAxis::Wq(vec![WqThreshold::Limit(0), WqThreshold::NoLimit]),
-                SweepAxis::EnlargePct(vec![0, 50]),
+                SweepAxis::new("bsld_th", [1.5, 3.0]),
+                SweepAxis::new("wq", ["0", "NO"]),
+                SweepAxis::new("enlarge_pct", [0, 50]),
             ],
             replications: 1,
             cell_budget_s: None,
@@ -2047,8 +2072,8 @@ mod tests {
         let set = ScenarioSet {
             base: base(),
             axes: vec![
-                SweepAxis::BsldThreshold(vec![1.5]),
-                SweepAxis::BsldThreshold(vec![3.0]),
+                SweepAxis::new("bsld_th", [1.5]),
+                SweepAxis::new("bsld_th", [3.0]),
             ],
             replications: 1,
             cell_budget_s: None,
@@ -2217,7 +2242,7 @@ mod tests {
         };
         let set = ScenarioSet {
             base: sc,
-            axes: vec![SweepAxis::SwfDir(PathBuf::from("traces"))],
+            axes: vec![SweepAxis::new(SWF_DIR, ["traces"])],
             replications: 1,
             cell_budget_s: None,
         };
@@ -2226,7 +2251,7 @@ mod tests {
         assert_eq!(ScenarioSet::parse(&text).unwrap(), set);
         // Paths with spaces survive: the value is not whitespace-split.
         let spaced = ScenarioSet {
-            axes: vec![SweepAxis::SwfDir(PathBuf::from("my traces/dir"))],
+            axes: vec![SweepAxis::new(SWF_DIR, ["my traces/dir"])],
             ..set.clone()
         };
         assert_eq!(ScenarioSet::parse(&spaced.render()).unwrap(), spaced);
@@ -2266,7 +2291,7 @@ mod tests {
         };
         let set = ScenarioSet {
             base: sc,
-            axes: vec![SweepAxis::SwfDir(dir.clone())],
+            axes: vec![SweepAxis::new(SWF_DIR, [dir.display()])],
             replications: 1,
             cell_budget_s: None,
         };
@@ -2289,7 +2314,7 @@ mod tests {
         let empty = dir.join("empty");
         std::fs::create_dir_all(&empty).unwrap();
         let bad = ScenarioSet {
-            axes: vec![SweepAxis::SwfDir(empty)],
+            axes: vec![SweepAxis::new(SWF_DIR, [empty.display()])],
             ..set.clone()
         };
         let err = bad.expand().unwrap_err().to_string();
@@ -2335,12 +2360,10 @@ mod tests {
     fn sweep_model_axis_round_trips_and_expands() {
         let set = ScenarioSet {
             base: base(),
-            axes: vec![SweepAxis::Model(vec![
-                PowerModelSpec::Paper,
-                PowerModelSpec::Constant,
-                PowerModelSpec::Linear,
-                PowerModelSpec::Cubic,
-            ])],
+            axes: vec![SweepAxis::new(
+                "model",
+                ["paper", "constant", "linear", "cubic"],
+            )],
             replications: 1,
             cell_budget_s: None,
         };
@@ -2432,7 +2455,7 @@ mod tests {
         };
         let set = ScenarioSet {
             base: sc,
-            axes: vec![SweepAxis::Profile(vec![ProfileName::Ctc])],
+            axes: vec![SweepAxis::new("profile", ["ctc"])],
             replications: 1,
             cell_budget_s: None,
         };

@@ -7,7 +7,7 @@ use std::path::Path;
 
 use bsld_metrics::Json;
 
-use crate::proto::Overrides;
+use crate::proto::{Overrides, FIELDS};
 
 /// A connected client. One instance may issue many requests; the
 /// connection stays open until dropped.
@@ -105,43 +105,14 @@ impl Client {
 }
 
 /// Renders overrides back to their wire form (inverse of
-/// [`Overrides::from_json`]).
+/// [`Overrides::from_json`]): each set field as its `.scn` value text.
 pub fn overrides_json(ov: &Overrides) -> Json {
-    let mut pairs: Vec<(&str, Json)> = Vec::new();
-    if let Some(th) = ov.bsld_th {
-        pairs.push(("bsld_th", Json::Num(th)));
-    }
-    if let Some(wq) = ov.wq {
-        pairs.push(("wq", Json::str(wq.label().to_ascii_lowercase())));
-    }
-    if let Some(cap) = ov.cap {
-        pairs.push((
-            "cap",
-            match cap {
-                Some(f) => Json::Num(f),
-                None => Json::str("none"),
-            },
-        ));
-    }
-    if let Some(model) = &ov.model {
-        pairs.push(("model", Json::str(model.label())));
-    }
-    if let Some(jobs) = ov.jobs {
-        pairs.push(("jobs", Json::Num(jobs as f64)));
-    }
-    if let Some(seed) = ov.seed {
-        pairs.push(("seed", Json::Num(seed as f64)));
-    }
-    if let Some(p) = ov.profile {
-        pairs.push(("profile", Json::str(p.key())));
-    }
-    if let Some(pct) = ov.enlarge_pct {
-        pairs.push(("enlarge_pct", Json::Num(f64::from(pct))));
-    }
-    if let Some(b) = ov.budget_s {
-        pairs.push(("budget_s", Json::Num(b)));
-    }
-    Json::obj(pairs)
+    Json::Obj(
+        FIELDS
+            .iter()
+            .filter_map(|f| Some((f.name.to_string(), Json::str((f.text)(ov)?))))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -158,6 +129,9 @@ mod tests {
             seed: Some(9),
             enlarge_pct: Some(20),
             budget_s: Some(3.5),
+            model: Some(bsld_core::scenario::PowerModelSpec::Empirical(
+                "curves/node.csv".into(),
+            )),
             ..Overrides::default()
         };
         let wire = overrides_json(&ov);

@@ -9,10 +9,11 @@
 //! clock-free.
 
 use std::io::{BufRead, BufReader, Read, Write};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use bsld_metrics::Json;
@@ -119,32 +120,42 @@ impl Server {
 
     /// Serves until a client sends `{"op":"shutdown"}`: accepted
     /// connections drain (every in-flight request gets its reply), the
-    /// socket file is unlinked, and the call returns.
+    /// socket file is unlinked, and the call returns. Idle connections do
+    /// not hold the drain up: their handlers read end of input.
     pub fn run(self) -> Result<(), ServeError> {
         let pool = bsld_par::Pool::new(self.cfg.workers);
         let shutdown = Arc::new(AtomicBool::new(false));
+        // The connections whose handlers still hold them.
+        let mut open: Vec<Weak<UnixStream>> = Vec::new();
         for conn in self.listener.incoming() {
             if shutdown.load(Ordering::SeqCst) {
                 break;
             }
             let stream = match conn {
-                Ok(s) => s,
+                Ok(s) => Arc::new(s),
                 // Transient accept failures (e.g. EINTR): keep serving.
                 Err(_) => continue,
             };
+            open.retain(|c| c.strong_count() > 0);
+            open.push(Arc::downgrade(&stream));
             let state = Arc::clone(&self.state);
             let flag = Arc::clone(&shutdown);
             let socket = self.cfg.socket.clone();
             let started = self.started;
             let workers = self.cfg.workers;
             pool.submit(move || {
-                if serve_connection(stream, &state, started, workers) {
+                if serve_connection(&stream, &state, started, workers) {
                     flag.store(true, Ordering::SeqCst);
                     // Self-connect so the blocking accept() observes the
                     // flag — the portable, `unsafe`-free wake-up.
                     let _ = UnixStream::connect(&socket);
                 }
             });
+        }
+        // Requests already sent are still read and answered; a handler
+        // waiting for the next line reads end of input instead.
+        for conn in open.iter().filter_map(Weak::upgrade) {
+            let _ = conn.shutdown(Shutdown::Read);
         }
         pool.close();
         pool.join();
@@ -163,16 +174,12 @@ pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 /// Serves one client connection to completion (many requests per
 /// connection are fine). Returns whether the client requested shutdown.
 fn serve_connection(
-    stream: UnixStream,
+    stream: &UnixStream,
     state: &ServerState,
     started: Instant,
     workers: usize,
 ) -> bool {
-    let Ok(read_half) = stream.try_clone() else {
-        return false;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
+    let mut reader = BufReader::new(stream);
     let mut shutdown = false;
     let mut buf = Vec::new();
     loop {
@@ -188,7 +195,7 @@ fn serve_connection(
             Stats::bump(&state.stats.errors, 1);
             let msg =
                 format!("request line exceeds {MAX_REQUEST_BYTES} bytes; closing the connection");
-            let _ = write_reply(&mut writer, &error_reply(&msg));
+            let _ = write_reply(stream, &error_reply(&msg));
             break;
         }
         let Ok(line) = std::str::from_utf8(&buf) else {
@@ -219,7 +226,7 @@ fn serve_connection(
                 reply
             }
         };
-        if write_reply(&mut writer, &reply).is_err() {
+        if write_reply(stream, &reply).is_err() {
             break; // client stopped reading; nothing left to serve it
         }
         if shutdown {
@@ -230,7 +237,7 @@ fn serve_connection(
 }
 
 /// Writes `reply` as one line and flushes it.
-fn write_reply(writer: &mut UnixStream, reply: &Json) -> std::io::Result<()> {
+fn write_reply(mut writer: &UnixStream, reply: &Json) -> std::io::Result<()> {
     let mut text = reply.render();
     text.push('\n');
     writer.write_all(text.as_bytes())?;

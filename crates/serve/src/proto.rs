@@ -23,7 +23,7 @@
 //! [`crate::daemon::MAX_REQUEST_BYTES`] gets such a reply and then its
 //! connection is closed.
 
-use bsld_core::scenario::{PolicySpec, PowerModelSpec, ProfileName, ScenarioSet, WorkloadSpec};
+use bsld_core::scenario::{PowerModelSpec, ProfileName, Scenario, ScenarioSet};
 use bsld_core::WqThreshold;
 use bsld_metrics::Json;
 
@@ -62,9 +62,10 @@ pub enum Request {
     Shutdown,
 }
 
-/// What-if knob overrides: each maps onto the same semantics as its
-/// sweep-axis or CLI-flag counterpart, including the sweep's name
-/// suffixes (`-th2`, `-cap0.7`, …) so reply tables stay self-describing.
+/// What-if knob overrides. Each sets the scenario key it is named after
+/// (`budget_s` sets `cell_budget_s`) through the same key table as a `.scn`
+/// file: the same validation, and the same cell-name suffix as a sweep
+/// (`-th2`, `-cap0.7`, …) so reply tables stay self-describing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Overrides {
     /// `sweep.bsld_th` counterpart: policy threshold.
@@ -87,6 +88,79 @@ pub struct Overrides {
     /// `cell_budget_s` and the daemon's default.
     pub budget_s: Option<f64>,
 }
+
+/// An [`Overrides`] field against the scenario key it sets.
+pub(crate) struct Field {
+    /// The field's name, which is also its name on the wire.
+    pub(crate) name: &'static str,
+    /// The scenario key it sets (also accepted on the wire).
+    key: &'static str,
+    /// The field's value as `.scn` text (`None` when unset).
+    pub(crate) text: fn(&Overrides) -> Option<String>,
+    /// Sets the field from `.scn` text the key table has accepted.
+    decode: fn(&mut Overrides, &str),
+}
+
+/// Every field, in the order [`Overrides::apply`] sets them.
+pub(crate) const FIELDS: [Field; 9] = [
+    Field {
+        name: "profile",
+        key: "profile",
+        text: |o| o.profile.map(|p| p.key().to_string()),
+        decode: |o, v| o.profile = ProfileName::parse(v).ok(),
+    },
+    Field {
+        name: "jobs",
+        key: "jobs",
+        text: |o| o.jobs.map(|n| n.to_string()),
+        decode: |o, v| o.jobs = v.parse().ok(),
+    },
+    Field {
+        name: "seed",
+        key: "seed",
+        text: |o| o.seed.map(|s| s.to_string()),
+        decode: |o, v| o.seed = v.parse().ok(),
+    },
+    Field {
+        name: "bsld_th",
+        key: "bsld_th",
+        text: |o| o.bsld_th.map(|th| th.to_string()),
+        decode: |o, v| o.bsld_th = v.parse().ok(),
+    },
+    Field {
+        name: "wq",
+        key: "wq",
+        text: |o| o.wq.map(|wq| wq.label()),
+        decode: |o, v| o.wq = WqThreshold::parse(v).ok(),
+    },
+    Field {
+        name: "cap",
+        key: "cap",
+        text: |o| {
+            o.cap
+                .map(|c| c.map_or("none".to_string(), |f| f.to_string()))
+        },
+        decode: |o, v| o.cap = Some(v.parse().ok()),
+    },
+    Field {
+        name: "model",
+        key: "model",
+        text: |o| o.model.as_ref().map(PowerModelSpec::render),
+        decode: |o, v| o.model = PowerModelSpec::parse(v).ok(),
+    },
+    Field {
+        name: "enlarge_pct",
+        key: "enlarge_pct",
+        text: |o| o.enlarge_pct.map(|pct| pct.to_string()),
+        decode: |o, v| o.enlarge_pct = v.parse().ok(),
+    },
+    Field {
+        name: "budget_s",
+        key: "cell_budget_s",
+        text: |o| o.budget_s.map(|b| b.to_string()),
+        decode: |o, v| o.budget_s = v.parse().ok(),
+    },
+];
 
 impl Request {
     /// Parses one request line. Every failure is a client-visible
@@ -150,140 +224,46 @@ impl Request {
 
 impl Overrides {
     /// Parses the `"overrides"` object, rejecting unknown keys so a typo
-    /// cannot silently run the un-overridden scenario.
+    /// cannot silently run the un-overridden scenario. A value is a string
+    /// or a number holding `.scn` value text, and is validated by the
+    /// scenario key table as a file's value is.
     pub fn from_json(v: &Json) -> Result<Overrides, String> {
         let Json::Obj(pairs) = v else {
             return Err("\"overrides\" must be an object".to_string());
         };
         let mut ov = Overrides::default();
-        for (key, val) in pairs {
-            match key.as_str() {
-                "bsld_th" => {
-                    ov.bsld_th = Some(val.as_f64().ok_or("override bsld_th must be a number")?);
-                }
-                "wq" => {
-                    let text = match val {
-                        Json::Str(s) => s.clone(),
-                        Json::Num(_) => {
-                            let n = val
-                                .as_u64()
-                                .ok_or("override wq must be \"no\" or a whole number")?;
-                            n.to_string()
-                        }
-                        _ => return Err("override wq must be \"no\" or a whole number".into()),
-                    };
-                    ov.wq = Some(WqThreshold::parse(&text)?);
-                }
-                "cap" => {
-                    ov.cap = Some(match val {
-                        Json::Str(s) if s == "none" => None,
-                        Json::Num(x) => Some(*x),
-                        _ => return Err("override cap must be a fraction or \"none\"".to_string()),
-                    });
-                }
-                "model" => {
-                    let s = val.as_str().ok_or("override model must be a string")?;
-                    ov.model = Some(PowerModelSpec::parse(s)?);
-                }
-                "jobs" => {
-                    let n = val.as_u64().ok_or("override jobs must be a whole number")?;
-                    ov.jobs = Some(n as usize);
-                }
-                "seed" => {
-                    ov.seed = Some(val.as_u64().ok_or("override seed must be a whole number")?);
-                }
-                "profile" => {
-                    let s = val.as_str().ok_or("override profile must be a string")?;
-                    ov.profile = Some(ProfileName::parse(s)?);
-                }
-                "enlarge_pct" => {
-                    let n = val
-                        .as_u64()
-                        .ok_or("override enlarge_pct must be a whole number")?;
-                    ov.enlarge_pct =
-                        Some(u32::try_from(n).map_err(|_| "override enlarge_pct is out of range")?);
-                }
-                "budget_s" | "cell_budget_s" => {
-                    let b = val.as_f64().ok_or("override budget_s must be a number")?;
-                    if !b.is_finite() || b < 0.0 {
-                        return Err("override budget_s must be finite and >= 0".to_string());
-                    }
-                    ov.budget_s = Some(b);
-                }
-                other => {
-                    return Err(format!(
-                        "unknown override {other:?} (expected bsld_th, wq, cap, model, jobs, \
-                         seed, profile, enlarge_pct or budget_s)"
-                    ))
-                }
+        let mut check = ScenarioSet::single(Scenario::synthetic("", ProfileName::Ctc, 0, 0));
+        for (name, val) in pairs {
+            let field = FIELDS
+                .iter()
+                .find(|f| f.name == name || f.key == name)
+                .ok_or_else(|| {
+                    let names: Vec<&str> = FIELDS.iter().map(|f| f.name).collect();
+                    format!("unknown override {name:?} (expected {})", names.join(", "))
+                })?;
+            let text = match val {
+                Json::Str(s) => s.clone(),
+                Json::Num(x) => x.to_string(),
+                _ => return Err(format!("override {name} must be a string or a number")),
+            };
+            check.set_override(field.key, &text)?;
+            (field.decode)(&mut ov, &text);
+            if (field.text)(&ov).is_none() {
+                return Err(format!("override {name} cannot be {text:?}"));
             }
         }
         Ok(ov)
     }
 
-    /// Applies every knob (except the request-level `budget_s`) to a
-    /// parsed scenario set, mirroring the corresponding sweep-axis
-    /// semantics — including the cell-name suffixes, so the reply table
-    /// shows what was actually run.
+    /// Applies every override to a parsed scenario set, before its sweep
+    /// axes: each sets its key as a `.scn` line would and appends the
+    /// key's cell-name suffix, so the reply table shows what was actually
+    /// run; `budget_s` replaces the set's `cell_budget_s`.
     pub fn apply(&self, set: &mut ScenarioSet) -> Result<(), String> {
-        let sc = &mut set.base;
-        if let Some(p) = self.profile {
-            match &mut sc.workload {
-                WorkloadSpec::Synthetic { profile, .. } => *profile = p,
-                WorkloadSpec::Swf { .. } => {
-                    return Err("override profile cannot apply to an SWF workload".into())
-                }
+        for field in &FIELDS {
+            if let Some(text) = (field.text)(self) {
+                set.set_override(field.key, &text)?;
             }
-            sc.name.push('-');
-            sc.name.push_str(p.key());
-        }
-        if let Some(n) = self.jobs {
-            match &mut sc.workload {
-                WorkloadSpec::Synthetic { jobs, .. } => *jobs = n,
-                WorkloadSpec::Swf { .. } => {
-                    return Err("override jobs cannot apply to an SWF workload".into())
-                }
-            }
-        }
-        if let Some(s) = self.seed {
-            match &mut sc.workload {
-                WorkloadSpec::Synthetic { seed, .. } => *seed = s,
-                WorkloadSpec::Swf { .. } => {
-                    return Err("override seed cannot apply to an SWF workload".into())
-                }
-            }
-            sc.name.push_str(&format!("-s{s}"));
-        }
-        if let Some(th) = self.bsld_th {
-            let wq = match sc.policy {
-                PolicySpec::BsldThreshold { wq, .. } => wq,
-                _ => WqThreshold::NoLimit,
-            };
-            sc.policy = PolicySpec::BsldThreshold { th, wq };
-            sc.name.push_str(&format!("-th{th}"));
-        }
-        if let Some(wq) = self.wq {
-            let th = match sc.policy {
-                PolicySpec::BsldThreshold { th, .. } => th,
-                _ => 2.0,
-            };
-            sc.policy = PolicySpec::BsldThreshold { th, wq };
-            sc.name.push_str(&format!("-wq{}", wq.label()));
-        }
-        if let Some(cap) = self.cap {
-            sc.power.cap_fraction = cap;
-            match cap {
-                Some(f) => sc.name.push_str(&format!("-cap{f}")),
-                None => sc.name.push_str("-capnone"),
-            }
-        }
-        if let Some(model) = &self.model {
-            sc.power.model = Some(model.clone());
-            sc.name.push_str(&format!("-m{}", model.label()));
-        }
-        if let Some(pct) = self.enlarge_pct {
-            sc.cluster.enlarge_pct = pct;
-            sc.name.push_str(&format!("-x{pct}"));
         }
         Ok(())
     }
@@ -297,6 +277,7 @@ pub fn error_reply(msg: &str) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsld_core::scenario::PolicySpec;
 
     #[test]
     fn parses_every_op() {
@@ -348,6 +329,8 @@ mod tests {
             "{\"op\":\"run\",\"scn\":\"x\",\"overrides\":{\"bogus\":1}}",
             "{\"op\":\"run\",\"scn\":\"x\",\"overrides\":{\"budget_s\":-1}}",
             "{\"op\":\"run\",\"scn\":\"x\",\"overrides\":{\"cap\":\"half\"}}",
+            "{\"op\":\"run\",\"scn\":\"x\",\"overrides\":{\"cap\":0}}",
+            "{\"op\":\"run\",\"scn\":\"x\",\"overrides\":{\"cap\":-0.5}}",
             "{\"op\":\"run\",\"scn\":\"x\",\"overrides\":{\"wq\":1.5}}",
             "{\"op\":\"cache\",\"swf\":42}",
             "{\"op\":\"cache\",\"swf\":\"/tmp/t.swf\",\"clear\":true}",

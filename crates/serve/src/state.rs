@@ -222,10 +222,8 @@ impl ServerState {
         // The daemon never writes result files; blanking the output spec
         // also keeps it out of the (already output-blind) CellId.
         set.base.output = OutputSpec::default();
-        let budget = ov
-            .budget_s
-            .or(set.cell_budget_s)
-            .or(self.cfg.default_budget_s);
+        // A `budget_s` override has replaced the file's `cell_budget_s`.
+        let budget = set.cell_budget_s.or(self.cfg.default_budget_s);
 
         let cells = set.expand().map_err(|e| e.to_string())?;
         let ids: Vec<CellId> = cells.iter().map(CellId::of).collect();

@@ -32,8 +32,8 @@ fn main() {
     let set = ScenarioSet {
         base,
         axes: vec![
-            SweepAxis::BsldThreshold(vec![1.5, 2.0, 3.0]),
-            SweepAxis::CapFraction(vec![0.6, 0.8]),
+            SweepAxis::new("bsld_th", [1.5, 2.0, 3.0]),
+            SweepAxis::new("cap", [0.6, 0.8]),
         ],
         replications: 1,
         cell_budget_s: None,

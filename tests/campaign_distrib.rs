@@ -33,7 +33,7 @@ fn campaign_set(replications: u32) -> ScenarioSet {
     });
     ScenarioSet {
         base,
-        axes: vec![SweepAxis::BsldThreshold(vec![1.5, 2.0, 3.0])],
+        axes: vec![SweepAxis::new("bsld_th", [1.5, 2.0, 3.0])],
         replications,
         cell_budget_s: None,
     }
@@ -57,8 +57,9 @@ proptest! {
         th10.sort_unstable();
         th10.dedup();
         let mut set = campaign_set(reps);
-        set.axes = vec![SweepAxis::BsldThreshold(
-            th10.into_iter().map(|t| t as f64 / 10.0).collect(),
+        set.axes = vec![SweepAxis::new(
+            "bsld_th",
+            th10.into_iter().map(|t| t as f64 / 10.0),
         )];
         let campaign = Campaign::plan(&set).map_err(TestCaseError::fail)?;
         let mut assigned: Vec<HashSet<(CellId, u32)>> = vec![HashSet::new(); n as usize];
@@ -83,8 +84,8 @@ proptest! {
 fn shard_assignment_survives_axis_permutation() {
     let mut a = campaign_set(2);
     a.axes = vec![
-        SweepAxis::BsldThreshold(vec![1.5, 3.0]),
-        SweepAxis::EnlargePct(vec![0, 50]),
+        SweepAxis::new("bsld_th", [1.5, 3.0]),
+        SweepAxis::new("enlarge_pct", [0, 50]),
     ];
     let mut b = a.clone();
     b.axes.reverse();
@@ -349,7 +350,7 @@ fn zero_budget_records_failed_rows_and_completes() {
 #[test]
 fn infeasible_cell_fails_but_sweep_completes_everywhere() {
     let mut set = campaign_set(2);
-    set.axes = vec![SweepAxis::CapFraction(vec![0.001, 1.0])];
+    set.axes = vec![SweepAxis::new("cap", [0.001, 1.0])];
     let single = tmp_dir("capsingle");
     let out = run_campaign(&set, &CampaignOptions::fresh(2, &single), None).unwrap();
     assert_eq!(out.total_units, 4);

@@ -28,7 +28,7 @@ fn campaign_set(replications: u32) -> ScenarioSet {
     });
     ScenarioSet {
         base,
-        axes: vec![SweepAxis::BsldThreshold(vec![1.5, 3.0])],
+        axes: vec![SweepAxis::new("bsld_th", [1.5, 3.0])],
         replications,
         cell_budget_s: None,
     }
@@ -306,7 +306,7 @@ fn cell_ids_are_semantic_content_hashes() {
 #[test]
 fn duplicate_cells_are_rejected() {
     let mut set = campaign_set(1);
-    set.axes = vec![SweepAxis::Seed(vec![5, 5])];
+    set.axes = vec![SweepAxis::new("seed", [5, 5])];
     let err = run_campaign(&set, &CampaignOptions::in_memory(1), None)
         .unwrap_err()
         .to_string();

@@ -3,13 +3,16 @@
 //! Random bytes and byte-level mutations of valid inputs are fed to the
 //! SWF parsers (`parse_swf` and `SwfStream`, the latter also through a
 //! 3-byte read buffer so lines split across refills), the wire-JSON parser
-//! (`Json::parse`) and the daemon's request parser (`Request::parse`).
-//! Each must return `Ok` or `Err`; a panic fails the case.
+//! (`Json::parse`), the daemon's request parser (`Request::parse`) and the
+//! scenario file parser (`ScenarioSet::parse`, expanding every set that
+//! parses), which also gets lines built from its keys. Each must return
+//! `Ok` or `Err`; a panic fails the case.
 
 #![allow(clippy::unwrap_used)]
 
 use std::io::BufReader;
 
+use bsld::core::scenario::ScenarioSet;
 use bsld::metrics::Json;
 use bsld::serve::Request;
 use bsld::swf::{generate_swf, parse_swf, SwfStream};
@@ -23,6 +26,83 @@ const REQUESTS: [&str; 6] = [
     r#"{"op":"cache","clear":true}"#,
     r#"{"op":"cache","swf":"/traceé😀.swf"}"#,
     r#"{"op":"shutdown","extra":[1,-2.5e3,true,false,null,{"a":[]}]}"#,
+];
+
+/// The committed scenario files.
+const SCN_FILES: [&str; 5] = [
+    include_str!("../examples/ctc_cap.scn"),
+    include_str!("../examples/campaign.scn"),
+    include_str!("../examples/power_models.scn"),
+    include_str!("../examples/paper_grid.scn"),
+    include_str!("golden/golden_campaign.scn"),
+];
+
+/// Every key of the scenario format (file, set, sweep-only and override
+/// keys) and one it does not have.
+const SCN_KEYS: [&str; 30] = [
+    "scenario",
+    "workload",
+    "profile",
+    "jobs",
+    "seed",
+    "scale_cpus",
+    "beta",
+    "swf_path",
+    "swf_clean",
+    "enlarge_pct",
+    "gears",
+    "policy",
+    "cap",
+    "soft_escape",
+    "sleep",
+    "boost",
+    "model",
+    "observe",
+    "mode",
+    "backfill",
+    "incremental",
+    "selection",
+    "trace",
+    "out_dir",
+    "replications",
+    "cell_budget_s",
+    "bsld_th",
+    "wq",
+    "swf_dir",
+    "bogus",
+];
+
+/// Pieces that values are built from: keywords, prefixes, separators and
+/// numbers at the edges of their types.
+const SCN_TOKENS: [&str; 28] = [
+    "none",
+    "paper",
+    "bsld:",
+    "gear:",
+    "interp:",
+    "ladder:",
+    "empirical:",
+    "true",
+    "false",
+    "synthetic",
+    "swf",
+    "ctc",
+    "NO",
+    "easy",
+    "contiguous",
+    "~",
+    "/",
+    ",",
+    ":",
+    " ",
+    "-",
+    ".",
+    "0",
+    "1",
+    "2.5",
+    "nan",
+    "1e999",
+    "18446744073709551616",
 ];
 
 /// Bytes that steer mutations into the parsers' interesting branches.
@@ -58,6 +138,9 @@ fn parse_everything(bytes: &[u8]) {
     let _ = SwfStream::new(BufReader::with_capacity(3, bytes)).count();
     let _ = Json::parse(&text);
     let _ = Request::parse(&text);
+    if let Ok(set) = ScenarioSet::parse(&text) {
+        let _ = set.expand();
+    }
 }
 
 /// Applies `ops` to `input`: (kind, position, byte) replaces, inserts,
@@ -115,12 +198,48 @@ proptest! {
         };
         parse_everything(&mutate(&input, &ops));
     }
+
+    /// `key = value` and `sweep.key = …` lines over the scenario keys,
+    /// after an empty, synthetic or SWF head.
+    #[test]
+    fn scenario_key_lines_never_panic_a_parser(
+        head in 0usize..3,
+        lines in proptest::collection::vec(
+            (0..SCN_KEYS.len(), proptest::bool::ANY, proptest::collection::vec(0..SCN_TOKENS.len(), 0..5)),
+            1..6,
+        ),
+    ) {
+        let mut text = [
+            "",
+            "workload = synthetic\nprofile = ctc\njobs = 5\nseed = 1\n",
+            "workload = swf\nswf_path = t.swf\n",
+        ][head]
+            .to_string();
+        for (key, sweep, value) in lines {
+            let value: String = value.iter().map(|&t| SCN_TOKENS[t]).collect();
+            let prefix = if sweep { "sweep." } else { "" };
+            text.push_str(&format!("{prefix}{} = {value}\n", SCN_KEYS[key]));
+        }
+        parse_everything(text.as_bytes());
+    }
+
+    /// Byte mutations of the committed scenario files.
+    #[test]
+    fn mutated_scenario_files_never_panic_a_parser(
+        which in 0..SCN_FILES.len(),
+        ops in proptest::collection::vec((0u8..6, 0usize..100_000, 0u8..=255), 1..12),
+    ) {
+        parse_everything(&mutate(SCN_FILES[which].as_bytes(), &ops));
+    }
 }
 
 #[test]
 fn unmutated_inputs_parse() {
     for req in REQUESTS {
         Request::parse(req).unwrap();
+    }
+    for scn in SCN_FILES {
+        ScenarioSet::parse(scn).unwrap().expand().unwrap();
     }
     let swf = valid_swf();
     assert_eq!(parse_swf(&swf).unwrap().records.len(), 12);

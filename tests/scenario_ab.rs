@@ -18,7 +18,9 @@
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use bsld::cluster::{Cluster, GearSet};
 use bsld::core::experiments::{grid, powercap, ExpOptions};
-use bsld::core::scenario::{PolicySpec, ProfileName, RunCtx, Scenario, SleepSpec};
+use bsld::core::scenario::{
+    PolicySpec, ProfileName, RunCtx, Scenario, ScenarioSet, SleepSpec, WorkloadSpec,
+};
 use bsld::core::{BsldThresholdPolicy, PowerAwareConfig, WqThreshold};
 use bsld::metrics::RunMetrics;
 use bsld::model::{Job, JobOutcome};
@@ -191,6 +193,50 @@ fn grid_experiment_matches_legacy_simulator_path() {
             }
         }
     }
+}
+
+#[test]
+fn paper_grid_file_matches_grid_experiment_bit_for_bit() {
+    // `examples/paper_grid.scn` is the Figs. 3–5 grid as one file. At the
+    // same jobs and seed it runs the cells `grid::run` runs, in its order:
+    // per workload the baseline (whose whole `RunMetrics` the grid keeps),
+    // then the 12 policy cells (of which it keeps every reported number).
+    let opts = ExpOptions::quick(AB_JOBS);
+    let mut set = ScenarioSet::parse(include_str!("../examples/paper_grid.scn")).unwrap();
+    if let WorkloadSpec::Synthetic { jobs, seed, .. } = &mut set.base.workload {
+        *jobs = opts.jobs;
+        *seed = opts.seed;
+    }
+    let cells = set.run(opts.threads).unwrap();
+    assert_eq!(cells.len(), 65);
+    let g = grid::run(&opts);
+    let mut grid_cells = g.cells.iter();
+    for (workload, (name, base)) in cells.chunks(13).zip(&g.baselines) {
+        let (sc, res) = &workload[0];
+        assert_eq!(sc.policy, PolicySpec::Baseline, "{}", sc.name);
+        let file_base = &res.run.metrics;
+        assert_eq!(format!("{file_base:?}"), format!("{base:?}"), "{}", sc.name);
+        for (sc, res) in &workload[1..] {
+            let cell = grid_cells.next().unwrap();
+            assert_eq!(&cell.workload, name);
+            assert_eq!(sc.policy, PolicySpec::from(cell.cfg), "{}", sc.name);
+            let m = &res.run.metrics;
+            assert_eq!(m.avg_bsld.to_bits(), cell.avg_bsld.to_bits(), "{}", sc.name);
+            assert_eq!(m.avg_wait_secs.to_bits(), cell.avg_wait.to_bits());
+            assert_eq!(m.reduced_jobs, cell.reduced_jobs);
+            assert_eq!(
+                m.energy
+                    .normalized_computational(&file_base.energy)
+                    .to_bits(),
+                cell.norm_e_comp.to_bits()
+            );
+            assert_eq!(
+                m.energy.normalized_with_idle(&file_base.energy).to_bits(),
+                cell.norm_e_idle.to_bits()
+            );
+        }
+    }
+    assert!(grid_cells.next().is_none());
 }
 
 #[test]

@@ -57,34 +57,42 @@ fn arb_beta() -> BoxedStrategy<Option<BetaSpec>> {
         .boxed()
 }
 
-fn arb_workload() -> BoxedStrategy<WorkloadSpec> {
+fn arb_synthetic() -> BoxedStrategy<WorkloadSpec> {
     (
-        proptest::bool::ANY,
         0u8..5,
         0usize..20_000,
         proptest::num::u64::ANY,
         (proptest::bool::ANY, 1u32..4096),
         arb_beta(),
-        (proptest::num::u64::ANY, proptest::bool::ANY),
     )
         .prop_map(
-            |(synthetic, prof, jobs, seed, (scaled, cpus), beta, (path_bits, clean))| {
-                if synthetic {
-                    WorkloadSpec::Synthetic {
-                        profile: profile_of(prof),
-                        jobs,
-                        seed,
-                        scale_cpus: scaled.then_some(cpus),
-                        beta,
-                    }
-                } else {
-                    WorkloadSpec::Swf {
-                        path: PathBuf::from(format!("traces/t{path_bits:016x}.swf")),
-                        clean,
-                    }
-                }
+            |(prof, jobs, seed, (scaled, cpus), beta)| WorkloadSpec::Synthetic {
+                profile: profile_of(prof),
+                jobs,
+                seed,
+                scale_cpus: scaled.then_some(cpus),
+                beta,
             },
         )
+        .boxed()
+}
+
+fn arb_workload() -> BoxedStrategy<WorkloadSpec> {
+    (
+        proptest::bool::ANY,
+        arb_synthetic(),
+        (proptest::num::u64::ANY, proptest::bool::ANY),
+    )
+        .prop_map(|(synthetic, w, (path_bits, clean))| {
+            if synthetic {
+                w
+            } else {
+                WorkloadSpec::Swf {
+                    path: PathBuf::from(format!("traces/t{path_bits:016x}.swf")),
+                    clean,
+                }
+            }
+        })
         .boxed()
 }
 
@@ -227,52 +235,68 @@ fn arb_scenario() -> BoxedStrategy<Scenario> {
         .boxed()
 }
 
+/// Every key `sweep.<key>` accepts but `swf_dir`, whose cells come from a
+/// real directory (dedicated unit tests cover it).
+const SWEEPABLE: [&str; 15] = [
+    "profile",
+    "seed",
+    "beta",
+    "enlarge_pct",
+    "gears",
+    "policy",
+    "cap",
+    "sleep",
+    "boost",
+    "model",
+    "mode",
+    "backfill",
+    "selection",
+    "bsld_th",
+    "wq",
+];
+
+/// The value of `key` in the rendered scenario (`none` when the line is
+/// omitted): canonical text, as a sweep axis holds it.
+fn value_of(sc: &Scenario, key: &str) -> String {
+    let prefix = format!("{key} = ");
+    sc.render()
+        .lines()
+        .find_map(|line| line.strip_prefix(&prefix).map(str::to_string))
+        .unwrap_or_else(|| "none".to_string())
+}
+
+/// An axis over a random sweepable key. Its values come from random
+/// scenarios (`bsld_th` and `wq`, which files write inside `policy`, from
+/// random thresholds); none holds whitespace, since axis values are
+/// whitespace-split on re-parse.
 fn arb_axis() -> BoxedStrategy<SweepAxis> {
     (
-        0u8..7,
+        0..SWEEPABLE.len(),
         proptest::collection::vec(
-            (
-                0u8..5,
-                10u32..400,
-                arb_wq(),
-                1u32..=20,
-                0u32..300,
-                proptest::num::u64::ANY,
-            ),
+            (arb_scenario(), arb_synthetic(), 10u32..400, arb_wq()),
             1..4,
         ),
     )
-        .prop_map(|(kind, raw)| match kind {
-            0 => SweepAxis::Profile(raw.iter().map(|r| profile_of(r.0)).collect()),
-            1 => SweepAxis::BsldThreshold(raw.iter().map(|r| r.1 as f64 / 10.0).collect()),
-            2 => SweepAxis::Wq(raw.iter().map(|r| r.2).collect()),
-            3 => SweepAxis::CapFraction(raw.iter().map(|r| r.3 as f64 / 20.0).collect()),
-            4 => SweepAxis::EnlargePct(raw.iter().map(|r| r.4).collect()),
-            5 => SweepAxis::Seed(raw.iter().map(|r| r.5).collect()),
-            // Model values must be pairwise distinct on the value level
-            // (two kinds can collide only via Empirical paths, which the
-            // deterministic bit pattern keeps unique), and whitespace-free
-            // (the axis is whitespace-split on re-parse).
-            _ => {
-                let mut models: Vec<PowerModelSpec> =
-                    raw.iter().map(|r| model_of(r.0, r.5)).collect();
-                models.dedup_by(|a, b| a == b);
-                models.sort_by_key(|m| m.render());
-                models.dedup();
-                SweepAxis::Model(models)
-            }
+        .prop_map(|(k, raw)| {
+            let key = SWEEPABLE[k];
+            let values = raw.into_iter().map(|(mut sc, w, th10, wq)| match key {
+                "bsld_th" => (th10 as f64 / 10.0).to_string(),
+                "wq" => wq.label(),
+                _ => {
+                    sc.workload = w;
+                    value_of(&sc, key)
+                }
+            });
+            SweepAxis::new(key, values)
         })
         .boxed()
 }
 
-/// Keeps the first axis of each kind — the text format forbids repeats.
+/// Keeps the first axis of each key — the text format forbids repeats.
 fn dedup_axes(axes: Vec<SweepAxis>) -> Vec<SweepAxis> {
-    let mut seen = Vec::new();
-    let mut out = Vec::new();
+    let mut out: Vec<SweepAxis> = Vec::new();
     for a in axes {
-        let key = std::mem::discriminant(&a);
-        if !seen.contains(&key) {
-            seen.push(key);
+        if !out.iter().any(|b| b.key == a.key) {
             out.push(a);
         }
     }
@@ -338,18 +362,7 @@ proptest! {
         }
         let set = ScenarioSet { base, axes, replications: 1, cell_budget_s: None };
         let cells = set.expand().map_err(TestCaseError::fail)?;
-        let expected: usize = set.axes.iter().map(|a| match a {
-            SweepAxis::Profile(v) => v.len(),
-            SweepAxis::BsldThreshold(v) => v.len(),
-            SweepAxis::Wq(v) => v.len(),
-            SweepAxis::CapFraction(v) => v.len(),
-            SweepAxis::EnlargePct(v) => v.len(),
-            SweepAxis::Seed(v) => v.len(),
-            SweepAxis::Model(v) => v.len(),
-            // arb_axis never generates SwfDir (its width depends on a real
-            // directory); covered by dedicated unit tests instead.
-            SweepAxis::SwfDir(_) => unreachable!("not generated"),
-        }).product();
+        let expected: usize = set.axes.iter().map(|a| a.values.len()).product();
         prop_assert_eq!(cells.len(), expected);
         for cell in cells {
             let parsed = Scenario::parse(&cell.render()).map_err(TestCaseError::fail)?;
@@ -374,6 +387,20 @@ proptest! {
         let again = Scenario::parse(&reparsed.render()).map_err(TestCaseError::fail)?;
         prop_assert_eq!(again, reparsed);
     }
+}
+
+#[test]
+fn every_sweepable_key_is_generated() {
+    let base = Scenario::synthetic("r", ProfileName::Ctc, 10, 1).render();
+    let err = ScenarioSet::parse(&format!("{base}sweep.bogus = 1\n"))
+        .unwrap_err()
+        .to_string();
+    let listed = err.rsplit_once('(').unwrap().1.trim_end_matches(')');
+    let mut keys: Vec<&str> = listed.split(", ").collect();
+    keys.sort_unstable();
+    let mut expected: Vec<&str> = SWEEPABLE.iter().copied().chain(["swf_dir"]).collect();
+    expected.sort_unstable();
+    assert_eq!(keys, expected, "{err}");
 }
 
 #[test]

@@ -264,6 +264,38 @@ fn over_long_request_line_is_refused_and_its_connection_dropped() {
 }
 
 #[test]
+fn shutdown_does_not_wait_on_idle_connections() {
+    let server = Server::bind(small_config(scratch_socket())).expect("bind a test socket");
+    let socket = server.socket().to_path_buf();
+    let (done, exited) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let res = server.run();
+        done.send(()).unwrap();
+        res
+    });
+
+    // One client goes idle after a request, another never sends a byte.
+    let mut idle = Client::connect(&socket).unwrap();
+    let status = idle.status().unwrap();
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    let silent = UnixStream::connect(&socket).unwrap();
+
+    Client::connect(&socket).unwrap().shutdown().unwrap();
+    // A daemon that waits on idle readers never exits; fail, not hang.
+    assert!(
+        exited
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .is_ok(),
+        "run() still blocked 10 s after shutdown with idle connections open"
+    );
+    handle.join().unwrap().unwrap();
+    assert!(!socket.exists(), "socket must be unlinked");
+    // The idle connection was closed by the drain.
+    assert!(idle.status().is_err());
+    drop(silent);
+}
+
+#[test]
 fn binding_over_a_live_daemon_is_refused_and_stale_sockets_are_reclaimed() {
     let cfg = small_config(scratch_socket());
     let socket = cfg.socket.clone();
