@@ -16,10 +16,10 @@
 //! `clippy` covers some of this (`float_cmp`, `unwrap_used` — both enabled
 //! in the workspace lints), but not the project-specific rules: clippy
 //! cannot know that `crates/core/src/campaign.rs` feeds persisted
-//! artifacts while `crates/bench` may do whatever it likes. So the audit
-//! is a small, dependency-free, lexer-level analyzer — the offline build
-//! environment has no `syn`, and the rules below need token streams, not
-//! type information.
+//! artifacts while `crates/par` must read the wall clock to run its
+//! budget watchdog. So the audit is a small, dependency-free, lexer-level
+//! analyzer — the offline build environment has no `syn`, and the rules
+//! below need token streams, not type information.
 //!
 //! # The rules
 //!
@@ -28,7 +28,7 @@
 //! | rule | scope | forbids |
 //! |------|-------|---------|
 //! | `D1` | determinism-critical crates | iterating `HashMap`/`HashSet` |
-//! | `D2` | libraries outside `par`/`bench` | `Instant::now`, `SystemTime`, `thread_rng`, `std::env` reads |
+//! | `D2` | libraries outside `par` | `Instant::now`, `SystemTime`, `thread_rng`, `std::env` reads |
 //! | `N1` | all libraries | `==`/`!=` against float literals |
 //! | `N2` | ledger/identity files | lossy `as` casts |
 //! | `R1` | all libraries (non-test) | `.unwrap()`, `.expect()`, `panic!` |

@@ -22,8 +22,8 @@ pub enum Rule {
     /// differently per host and the merged artifact hash never stabilises.
     D1,
     /// **D2** — no wall-clock or entropy sources (`Instant::now`,
-    /// `SystemTime`, `thread_rng`, `std::env` reads) outside CLI, bench
-    /// and `bsld-par` code.
+    /// `SystemTime`, `thread_rng`, `std::env` reads) outside CLI and
+    /// `bsld-par` code.
     ///
     /// Failure scenario: a library crate seeds a tie-break from
     /// `SystemTime::now()`; a replicated cell returns different BSLD means
@@ -135,8 +135,6 @@ pub enum FileKind {
     Bin,
     /// Integration tests (`tests/`) — exempt from all rules.
     Test,
-    /// Benchmarks (`benches/` or the `bench` crate) — exempt.
-    Bench,
     /// Examples — exempt.
     Example,
 }
@@ -164,8 +162,8 @@ const DETERMINISM_CRITICAL: [&str; 12] = [
 ];
 
 /// Crates exempt from D2 wholesale: `par` implements the wall-clock budget
-/// watchdog, `bench` measures wall time by definition.
-const CLOCK_EXEMPT_CRATES: [&str; 2] = ["par", "bench"];
+/// watchdog.
+const CLOCK_EXEMPT_CRATES: [&str; 1] = ["par"];
 
 /// Files under these path prefixes (or exact paths) carry rule N2: they
 /// hold energy ledgers, cell identity hashing, or persisted numeric output
@@ -204,9 +202,7 @@ pub fn classify(rel_path: &str) -> (Option<String>, FileKind) {
         .strip_prefix("crates/")
         .and_then(|rest| rest.split('/').next())
         .map(str::to_string);
-    let kind = if krate.as_deref() == Some("bench") || rel.contains("/benches/") {
-        FileKind::Bench
-    } else if rel.contains("/tests/") {
+    let kind = if rel.contains("/tests/") {
         FileKind::Test
     } else if rel.contains("/examples/") {
         FileKind::Example
@@ -225,9 +221,9 @@ pub fn audit_source(rel_path: &str, src: &str) -> FileAudit {
     let (krate, kind) = classify(rel_path);
     let mut out = FileAudit::default();
 
-    // Tests, benches and examples: nothing to audit (but stale allows in
-    // them would also never fire, so skip entirely).
-    if matches!(kind, FileKind::Test | FileKind::Bench | FileKind::Example) {
+    // Tests and examples: nothing to audit (but stale allows in them would
+    // also never fire, so skip entirely).
+    if matches!(kind, FileKind::Test | FileKind::Example) {
         return out;
     }
 
@@ -298,7 +294,7 @@ pub fn audit_source(rel_path: &str, src: &str) -> FileAudit {
         }
     }
 
-    // --- D2: wall clock / entropy outside CLI, bench, par --------------
+    // --- D2: wall clock / entropy outside CLI and par -------------------
     let d2_applies = kind == FileKind::Lib
         && !krate
             .as_deref()

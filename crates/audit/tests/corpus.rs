@@ -58,20 +58,28 @@ fn d1_ignores_keyed_access_ordered_maps_and_trapped_text() {
 
 #[test]
 fn d2_flags_clock_entropy_and_env_reads() {
-    let fa = audit_as("d2_pos.rs", "crates/swf/src/fixture.rs");
-    let lines = lines_of(&fa, Rule::D2);
-    for expected in [5, 9, 13, 17] {
-        assert!(
-            lines.contains(&expected),
-            "line {expected} must fire: {:?}",
-            fa.violations
+    // Bench code has no exemption: a `bench` crate or a `benches/`
+    // directory is library code like any other.
+    for rel in [
+        "crates/swf/src/fixture.rs",
+        "crates/bench/src/fixture.rs",
+        "crates/core/benches/fixture.rs",
+    ] {
+        let fa = audit_as("d2_pos.rs", rel);
+        let lines = lines_of(&fa, Rule::D2);
+        for expected in [5, 9, 13, 17] {
+            assert!(
+                lines.contains(&expected),
+                "{rel}: line {expected} must fire: {:?}",
+                fa.violations
+            );
+        }
+        assert_eq!(
+            fa.violations.len(),
+            lines.len(),
+            "{rel}: only D2 fires in this fixture"
         );
     }
-    assert_eq!(
-        fa.violations.len(),
-        lines.len(),
-        "only D2 fires in this fixture"
-    );
 }
 
 #[test]

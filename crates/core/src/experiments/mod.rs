@@ -59,7 +59,7 @@ impl Default for ExpOptions {
 }
 
 impl ExpOptions {
-    /// A reduced-scale configuration for tests and benches.
+    /// A reduced-scale configuration for tests and the benchmark.
     pub fn quick(jobs: usize) -> Self {
         ExpOptions {
             seed: 2010,

@@ -1024,6 +1024,27 @@ impl ScenarioSet {
         }
     }
 
+    /// How many cells [`ScenarioSet::expand`] yields, counted without
+    /// cloning a scenario: the product of the axes' value counts, where a
+    /// `swf_dir` axis counts the trace files it lists. `None` when the
+    /// product overflows `usize`.
+    pub fn cell_count(&self) -> Result<Option<usize>, ScenarioError> {
+        let mut cells = Some(1usize);
+        for axis in &self.axes {
+            let values = if axis.key == SWF_DIR {
+                let mut files = 0;
+                for dir in &axis.values {
+                    files += list_swf_files(Path::new(dir))?.len();
+                }
+                files
+            } else {
+                axis.values.len()
+            };
+            cells = cells.and_then(|n| n.checked_mul(values));
+        }
+        Ok(cells)
+    }
+
     /// Expands the axes' cartesian product into concrete scenarios (the
     /// base alone when there are no axes). Repeated axes are an error —
     /// a later axis would overwrite the earlier one's value while both
@@ -1998,6 +2019,7 @@ mod tests {
         assert_eq!(ScenarioSet::parse(&set.render()).unwrap(), set);
         let cells = set.expand().unwrap();
         assert_eq!(cells.len(), 8);
+        assert_eq!(set.cell_count().unwrap(), Some(8));
         // Later axes vary fastest; names encode the cell.
         assert_eq!(cells[0].name, "t-th1.5-wq0-x0");
         assert_eq!(cells[7].name, "t-th3-wqNO-x50");
@@ -2007,6 +2029,17 @@ mod tests {
                 _ => panic!("axis must force the policy"),
             }
         }
+    }
+
+    #[test]
+    fn cell_count_is_none_when_the_product_overflows() {
+        let axis = |key| SweepAxis::new(key, 0..1 << 13);
+        let mut set = ScenarioSet::single(base());
+        assert_eq!(set.cell_count().unwrap(), Some(1));
+        set.axes = ["seed", "bsld_th", "wq", "enlarge_pct"].map(axis).into();
+        assert_eq!(set.cell_count().unwrap(), Some(1 << 52));
+        set.axes.push(axis("beta"));
+        assert_eq!(set.cell_count().unwrap(), None, "2^65 cells");
     }
 
     #[test]
@@ -2297,6 +2330,7 @@ mod tests {
         };
         let cells = set.expand().unwrap();
         assert_eq!(cells.len(), 3);
+        assert_eq!(set.cell_count().unwrap(), Some(3), "counts the traces");
         let names: Vec<&str> = cells.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["t-a", "t-b", "t-c"], "sorted by file name");
         for (cell, file) in cells.iter().zip(["a.swf", "b.swf", "c.SWF"]) {

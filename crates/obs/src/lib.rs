@@ -30,5 +30,5 @@ pub mod trace;
 
 pub use profile::{Counter, Gauge, Histogram, HistogramSummary, PhaseSecs, Phases, Stopwatch};
 pub use trace::{
-    render_chrome_trace, write_chrome_trace, BufferSink, NullSink, TraceEvent, TraceSink, VetoSite,
+    render_chrome_trace, write_chrome_trace, BufferSink, TraceEvent, TraceSink, VetoSite,
 };

@@ -164,15 +164,6 @@ pub trait TraceSink: Send + Sync + std::fmt::Debug {
     fn record(&self, ev: TraceEvent);
 }
 
-/// A sink that discards everything — for A/B-testing sink overhead
-/// against the `None` fast path.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&self, _ev: TraceEvent) {}
-}
-
 /// Collects events in memory, in emission order. One buffer per scenario
 /// cell keeps parallel sweeps deterministic: each cell's engine runs
 /// single-threaded, so its buffer order is a pure function of the run,
@@ -386,13 +377,6 @@ mod tests {
         );
         assert!(text.contains(r#"a \"quoted\"\nname"#));
         assert!(!text.contains('\u{0}'));
-    }
-
-    #[test]
-    fn null_sink_discards() {
-        let s = NullSink;
-        s.record(TraceEvent::PowerRetry { t: 7 });
-        // Nothing observable: NullSink is stateless by construction.
     }
 
     #[test]

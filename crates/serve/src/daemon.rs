@@ -107,8 +107,8 @@ impl Server {
         })
     }
 
-    /// The warm state behind this daemon (shared; useful for tests and
-    /// benches that want to pre-warm or inspect caches).
+    /// The warm state behind this daemon (shared; useful for tests that
+    /// want to pre-warm or inspect caches).
     pub fn state(&self) -> Arc<ServerState> {
         Arc::clone(&self.state)
     }
@@ -170,6 +170,17 @@ impl Server {
 /// connection is dropped with the rest of the line unread, so no client
 /// can grow the daemon's memory without bound.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// The most cells one `run` request may name. The line cap above bounds
+/// only a request's text: two 200-value sweep axes in 1.5 KB name 40 000
+/// cells, and each cell costs a cloned scenario, a cache key and a reply
+/// row, all held at once before the reply goes out. So the daemon counts
+/// a request's cells before it expands the sweep and refuses a larger one
+/// with a structured error. 4 096 cells is 63 times the largest committed
+/// sweep (`examples/paper_grid.scn`, 65 cells), and at 140–180 reply bytes
+/// a cell it keeps a reply under the 1 MiB of the longest request line.
+/// Larger sweeps run through the one-shot `bsld-repro run`.
+pub const MAX_SWEEP_CELLS: usize = 4096;
 
 /// Serves one client connection to completion (many requests per
 /// connection are fine). Returns whether the client requested shutdown.

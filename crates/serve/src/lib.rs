@@ -26,7 +26,7 @@
 //! * [`Client`] — the blocking one-call-per-line client the `bsld-repro
 //!   query` subcommand wraps;
 //! * [`ServerState`] — the warm caches + query execution, directly usable
-//!   in-process (no socket) for tests and benches;
+//!   in-process (no socket) for tests and the benchmark;
 //! * [`cache::Lru`] — the logical-clock LRU both caches are built on.
 
 #![deny(missing_docs)]
@@ -39,6 +39,6 @@ pub mod proto;
 pub mod state;
 
 pub use client::Client;
-pub use daemon::{ServeConfig, ServeError, Server, MAX_REQUEST_BYTES};
+pub use daemon::{ServeConfig, ServeError, Server, MAX_REQUEST_BYTES, MAX_SWEEP_CELLS};
 pub use proto::{Overrides, Request, PROTOCOL_VERSION};
 pub use state::{RunReply, ServerState, StateConfig};

@@ -21,7 +21,8 @@
 //! `{"ok":false,"error":"…"}` lines — a malformed or torn request can
 //! never take the daemon down. A request line longer than
 //! [`crate::daemon::MAX_REQUEST_BYTES`] gets such a reply and then its
-//! connection is closed.
+//! connection is closed; a `run` request whose sweep names more than
+//! [`crate::daemon::MAX_SWEEP_CELLS`] cells gets one before any cell runs.
 
 use bsld_core::scenario::{PowerModelSpec, ProfileName, Scenario, ScenarioSet};
 use bsld_core::WqThreshold;

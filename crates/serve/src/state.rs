@@ -21,6 +21,7 @@ use bsld_sched::SimError;
 use bsld_workload::Workload;
 
 use crate::cache::Lru;
+use crate::daemon::MAX_SWEEP_CELLS;
 use crate::proto::Overrides;
 
 /// Sizing and defaults for a [`ServerState`].
@@ -207,7 +208,9 @@ impl ServerState {
     }
 
     /// Runs one `run` request against the warm caches. The error string
-    /// becomes the client's `{"ok":false,"error":…}` reply.
+    /// becomes the client's `{"ok":false,"error":…}` reply. A sweep that
+    /// names more than [`MAX_SWEEP_CELLS`] cells is refused before it
+    /// expands.
     pub fn run_query(&self, scn: &str, ov: &Overrides) -> Result<RunReply, String> {
         Stats::bump(&self.stats.runs, 1);
         let mut set = ScenarioSet::parse(scn).map_err(|e| e.to_string())?;
@@ -225,6 +228,17 @@ impl ServerState {
         // A `budget_s` override has replaced the file's `cell_budget_s`.
         let budget = set.cell_budget_s.or(self.cfg.default_budget_s);
 
+        // Counted before `expand` clones a scenario per cell.
+        match set.cell_count().map_err(|e| e.to_string())? {
+            Some(n) if n <= MAX_SWEEP_CELLS => {}
+            n => {
+                let n = n.map_or_else(|| format!("more than {}", usize::MAX), |n| n.to_string());
+                return Err(format!(
+                    "the sweep names {n} cells; the daemon runs at most {MAX_SWEEP_CELLS} \
+                     per request (run larger sweeps with `bsld-repro run`)"
+                ));
+            }
+        }
         let cells = set.expand().map_err(|e| e.to_string())?;
         let ids: Vec<CellId> = cells.iter().map(CellId::of).collect();
         let mut outcomes: Vec<Option<Result<CellOutcome, String>>> = {

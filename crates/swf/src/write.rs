@@ -84,8 +84,8 @@ pub fn write_swf_to<W: io::Write>(w: &mut W, trace: &SwfTrace) -> io::Result<()>
 pub const GEN_SWF_DEFAULT_PROCS: u32 = 1024;
 
 /// Writes a deterministic synthetic SWF trace straight to `w` — the
-/// engine behind `bsld-repro gen-swf`, so large-trace tests and benches
-/// never need committed multi-megabyte fixtures.
+/// engine behind `bsld-repro gen-swf`, so large-trace tests and the
+/// benchmark never need committed multi-megabyte fixtures.
 ///
 /// The generator is integer-only (a splitmix64 stream seeded by `seed`),
 /// so the same `(jobs, seed, max_procs)` triple produces byte-identical

@@ -12,7 +12,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use bsld::core::scenario::ScenarioSet;
 use bsld::core::{sweep_report, CellOutcome};
 use bsld::metrics::Json;
-use bsld::serve::{Client, Overrides, ServeConfig, Server, StateConfig, MAX_REQUEST_BYTES};
+use bsld::serve::{
+    Client, Overrides, ServeConfig, Server, StateConfig, MAX_REQUEST_BYTES, MAX_SWEEP_CELLS,
+};
 
 const SCN: &str = "scenario = demo\n\
                    workload = synthetic\n\
@@ -258,6 +260,49 @@ fn over_long_request_line_is_refused_and_its_connection_dropped() {
     assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
     let ok = client.run(SCN, &Overrides::default()).unwrap();
     assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// A one-job CTC scenario swept over `seeds` seeds and `sizes`
+/// enlargements: `seeds × sizes` cells.
+fn one_job_grid(seeds: u32, sizes: u32) -> String {
+    let values = |n: u32| (0..n).map(|v| v.to_string()).collect::<Vec<_>>().join(" ");
+    format!(
+        "scenario = grid\nworkload = synthetic\nprofile = ctc\njobs = 1\nseed = 1\n\
+         sweep.seed = {}\nsweep.enlarge_pct = {}\n",
+        values(seeds),
+        values(sizes)
+    )
+}
+
+#[test]
+fn oversized_sweep_is_refused_before_any_cell_runs() {
+    let (socket, handle) = spawn_daemon(small_config(scratch_socket()));
+    let mut client = Client::connect(&socket).unwrap();
+    let count = |reply: &Json, key| reply.get(key).and_then(Json::as_u64);
+
+    // About 1.5 KB of text naming 40 000 cells.
+    let huge = one_job_grid(200, 200);
+    assert!(huge.len() < 1600, "{}", huge.len());
+    let reply = client.run(&huge, &Overrides::default()).unwrap();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let error = reply.get("error").and_then(Json::as_str).unwrap();
+    let cap = format!("at most {MAX_SWEEP_CELLS} per request");
+    assert!(error.contains("names 40000 cells"), "{error}");
+    assert!(error.contains(&cap), "{error}");
+    let status = client.status().unwrap();
+    assert_eq!(count(&status, "cells_run"), Some(0));
+
+    // One cell past the cap is refused too; a sweep at the cap runs.
+    let over = one_job_grid(MAX_SWEEP_CELLS as u32 + 1, 1);
+    let reply = client.run(&over, &Overrides::default()).unwrap();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let at_cap = one_job_grid(MAX_SWEEP_CELLS as u32, 1);
+    let reply = client.run(&at_cap, &Overrides::default()).unwrap();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(count(&reply, "cells"), Some(MAX_SWEEP_CELLS as u64));
 
     client.shutdown().unwrap();
     handle.join().unwrap();
