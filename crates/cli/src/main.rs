@@ -18,53 +18,43 @@
 //!   all        everything above
 //!   calibrate  baseline-vs-paper calibration summary (same as table1)
 //!
-//! tooling subcommands:
-//!   run FILE.scn [--jobs N] [--seed S]   parse a scenario file (sweep axes
-//!                                        included), expand and run every
-//!                                        cell, print the result table
+//! tooling subcommands (`--help` lists the flags each one reads):
+//!   run FILE.scn        run every cell of a scenario file (sweep axes
+//!                       included) and print the result table; --set
+//!                       sets single keys, --export writes each cell's
+//!                       schedule, series, details and SWF workload
 //!   campaign-worker FILE.scn --shard I/N --out DIR
-//!                                        run one shard of a campaign,
-//!                                        appending to a per-worker
-//!                                        manifest in the shared DIR
-//!   campaign-merge DIR                   validate and union the worker
-//!                                        manifests of DIR, write the
-//!                                        aggregated results + JSON report
-//!   generate --workload W --swf FILE     export a calibrated synthetic
-//!                                        workload as an SWF trace
-//!   gen-swf --jobs N --seed S --swf FILE write a deterministic synthetic
-//!                                        SWF trace of N jobs (scale
-//!                                        testing; survives cleaning
-//!                                        untouched)
-//!   simulate [--workload W | --swf FILE] [--bsld-th X] [--wq N|no]
-//!            [--conservative] [--boost N] [--export PREFIX]
-//!                                        run one simulation, print the
-//!                                        detailed report; --export writes
-//!                                        PREFIX_{schedule,utilization,queue}.csv
-//!   serve --socket PATH                  scheduling-as-a-service daemon:
-//!                                        resident workloads + cached cells
-//!                                        answering JSON queries on a Unix
-//!                                        socket (see crates/serve)
-//!   query <op> --socket PATH             one request to a running daemon
-//!   trace-summary FILE                   validate a --trace-out Chrome
-//!                                        trace and print per-cell event
-//!                                        tallies (exit 1 on malformed
-//!                                        input — the CI trace validator)
+//!                       run one shard of a campaign into a per-worker
+//!                       manifest in the shared DIR
+//!   campaign-merge DIR  union the worker manifests of DIR and write the
+//!                       aggregated results + JSON report
+//!   gen-swf --swf FILE  write a deterministic synthetic SWF trace
+//!   audit               static determinism/numeric-safety audit
+//!   serve --socket PATH scheduling-as-a-service daemon (crates/serve)
+//!   query <op> --socket PATH
+//!                       one request to a running daemon
+//!   trace-summary FILE  validate a --trace-out Chrome trace and print
+//!                       per-cell event tallies (the CI trace validator)
 //! ```
 //!
-//! The grid experiments (`fig3`/`fig4`/`fig5`/`all`) additionally accept
-//! `--trace-out PATH`: write the deterministic simulation trace of every
-//! sweep cell as one Chrome-trace JSON file (Perfetto-loadable,
-//! byte-identical across re-runs regardless of `--threads`).
+//! A scenario is described one way: a `.scn` file, plus `--set` for single
+//! keys. Every flag is one row of [`FLAGS`], which names the subcommands
+//! that read it; any other subcommand refuses it. The grid experiments
+//! (`fig3`/`fig4`/`fig5`/`all`) also read `--trace-out PATH`: write the
+//! deterministic simulation trace of every sweep cell as one Chrome-trace
+//! JSON file (Perfetto-loadable, byte-identical across re-runs regardless
+//! of `--threads`).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use bsld_core::campaign::{run_campaign, CampaignOptions, JSON_FILE, RESULTS_FILE};
 use bsld_core::distrib::{merge_campaign, run_worker, worker_manifest_file, Shard};
 use bsld_core::experiments::{ablation, enlarged, fig6, grid, powercap, table1, ExpOptions};
 use bsld_core::policy::WqThreshold;
-use bsld_core::scenario::{PolicySpec, ProfileName, ScenarioSet, WorkloadSpec};
-use bsld_core::{sweep_report, CellOutcome, Scenario};
+use bsld_core::scenario::{ScenarioError, ScenarioSet, WorkloadSpec};
+use bsld_core::{sweep_report, CellOutcome, RunResult, Scenario, ScenarioResult};
 use bsld_metrics::{Json, RunDetails};
 
 /// Every experiment name the CLI accepts, shown by `--help` and by
@@ -85,468 +75,377 @@ const EXPERIMENTS: &[&str] = &[
     "calibrate",
 ];
 
+/// Every tooling subcommand but `audit` (which parses its own flags and
+/// must come first), with the number of bare operands it takes:
+/// `run FILE.scn`, `query cache clear`. Experiments take none.
+const TOOLS: &[(&str, usize)] = &[
+    ("run", 1),
+    ("campaign-worker", 1),
+    ("campaign-merge", 1),
+    ("gen-swf", 0),
+    ("serve", 0),
+    ("query", 2),
+    ("trace-summary", 1),
+];
+
+fn operand_count(command: &str) -> usize {
+    TOOLS
+        .iter()
+        .find(|&&(t, _)| t == command)
+        .map_or(0, |&(_, n)| n)
+}
+
+/// A command-line flag: its name, the placeholder of its value (empty for
+/// a switch) and the subcommands that read it, space-separated, where
+/// `experiments` stands for every name in [`EXPERIMENTS`].
+struct Flag {
+    name: &'static str,
+    value: &'static str,
+    readers: &'static str,
+}
+
+const fn flag(name: &'static str, value: &'static str, readers: &'static str) -> Flag {
+    Flag {
+        name,
+        value,
+        readers,
+    }
+}
+
+/// Every flag the CLI accepts. A flag given to a subcommand outside its
+/// readers is an error, never silently ignored; the last of a repeated
+/// flag wins, except `--set`, which accumulates.
+const FLAGS: &[Flag] = &[
+    flag("--jobs", "N", "experiments run campaign-worker gen-swf"),
+    flag("--seed", "S", "experiments run campaign-worker gen-swf"),
+    flag("--threads", "T", "experiments run campaign-worker serve"),
+    flag("--out", "DIR", "experiments run campaign-worker"),
+    flag("--no-csv", "", "experiments run"),
+    flag("--trace-out", "PATH", "fig3 fig4 fig5 all"),
+    flag("--set", "key=value", "run campaign-worker query"),
+    flag("--export", "DIR", "run"),
+    flag("--resume", "DIR", "run"),
+    flag("--shard", "I/N", "campaign-worker"),
+    flag("--swf", "FILE", "gen-swf query"),
+    flag("--max-procs", "P", "gen-swf"),
+    flag("--socket", "PATH", "serve query"),
+    flag("--workers", "W", "serve"),
+    flag("--cache", "N", "serve"),
+    flag("--budget", "S", "serve query"),
+    // Read before the subcommand is known (`-h` is its short form): it
+    // prints the usage and exits 0 whatever the subcommand.
+    flag("--help", "", "any"),
+];
+
 fn usage() -> String {
+    let tools: Vec<&str> = TOOLS.iter().map(|&(t, _)| t).collect();
+    let flags: String = FLAGS
+        .iter()
+        .map(|f| {
+            let name = format!("{} {}", f.name, f.value);
+            format!("\n  {name:<20} {}", f.readers.replace(' ', ", "))
+        })
+        .collect();
     format!(
-        "usage: bsld-repro <{}|run|campaign-worker|campaign-merge|generate|gen-swf|simulate|audit|serve|query|trace-summary> [--jobs N] [--seed S] [--threads T] [--out DIR] [--no-csv]\n\
-         \x20          (fig3/fig4/fig5/all also take --trace-out PATH: write the\n\
-         \x20          deterministic per-cell Chrome trace of the grid sweep)\n\
-         run:       run FILE.scn [--jobs N] [--seed S] [--threads T] [--out DIR] [--no-csv] [--resume DIR]\n\
-         \x20          (files with `replications = N`, `cell_budget_s`, or --resume run as a\n\
-         \x20          campaign: per-cell mean ± 95% CI, incremental manifest, cached cells\n\
-         \x20          skipped, campaign.json report)\n\
-         campaign-worker: campaign-worker FILE.scn --shard I/N --out DIR [--jobs N] [--seed S] [--threads T]\n\
-         \x20          (runs only the units content-hashed to shard I of N; re-running a\n\
-         \x20          killed worker resumes its own manifest)\n\
-         campaign-merge:  campaign-merge DIR\n\
-         \x20          (validates shard coverage, unions worker manifests, writes\n\
-         \x20          campaign_results.csv + campaign.json byte-identical to `run`)\n\
-         generate:  --workload <ctc|sdsc|blue|thunder|atlas> --swf FILE\n\
-         gen-swf:   --jobs N --seed S --swf FILE [--max-procs P]\n\
-         \x20          (deterministic synthetic SWF writer for scale testing: N jobs on a\n\
-         \x20          P-processor machine at ~0.7 offered load, cleaning-invariant)\n\
-         simulate:  [--workload W | --swf FILE] [--bsld-th X] [--wq N|no] [--conservative] [--boost N] [--export PREFIX]\n\
-         audit:     audit [--json] [--root DIR]\n\
-         \x20          (static determinism/numeric-safety audit of the workspace source;\n\
-         \x20          exit 1 on violations — see crates/audit)\n\
-         serve:     serve --socket PATH [--workers W] [--threads T] [--cache N] [--budget S]\n\
-         \x20          (daemon: keeps parsed workloads and finished cells resident, answers\n\
-         \x20          line-delimited JSON queries on the Unix socket until shutdown)\n\
-         query:     query <run FILE.scn|status|metrics|cache [clear]|shutdown> --socket PATH\n\
-         \x20          [--set key=value ...] [--budget S] [--swf PATH]\n\
-         \x20          (one request to a running daemon; `run` prints the same table as the\n\
-         \x20          one-shot run subcommand, --set tweaks single knobs: bsld_th, wq, cap,\n\
-         \x20          model, jobs, seed, profile, enlarge_pct; `metrics` prints the\n\
-         \x20          profiling plane: cache counters + per-op latency histograms;\n\
-         \x20          `cache --swf PATH` pins a parsed+cleaned trace into the daemon's\n\
-         \x20          workload cache)\n\
-         trace-summary: trace-summary FILE\n\
-         \x20          (validate a --trace-out Chrome trace file and print per-cell event\n\
-         \x20          tallies; exits 1 on malformed input)",
-        EXPERIMENTS.join("|")
+        "usage: bsld-repro <{}|audit|{}> [flags]\n\
+         run FILE.scn       run every cell of a scenario file (sweep axes included) and\n\
+         \x20                  print the result table. --set sets one key as `query run --set`\n\
+         \x20                  does (bsld_th, wq, cap, model, jobs, seed, profile, enlarge_pct,\n\
+         \x20                  cell_budget_s). --export DIR writes each cell's\n\
+         \x20                  I-NAME_{{schedule,utilization,queue}}.csv, I-NAME_details.txt and\n\
+         \x20                  I-NAME.swf. A file with `replications = N` or `cell_budget_s`, or\n\
+         \x20                  --resume DIR, runs as a campaign (per-cell mean ± 95% CI,\n\
+         \x20                  incremental manifest, cached cells skipped, campaign.json)\n\
+         campaign-worker FILE.scn --shard I/N --out DIR\n\
+         \x20                  run the units content-hashed to shard I of N; a re-run resumes\n\
+         campaign-merge DIR validate shard coverage, union the worker manifests, write\n\
+         \x20                  campaign_results.csv + campaign.json byte-identical to `run`\n\
+         gen-swf --swf FILE deterministic synthetic SWF trace of --jobs N jobs on a\n\
+         \x20                  --max-procs P machine at ~0.7 offered load, cleaning-invariant\n\
+         audit [--json] [--root DIR]\n\
+         \x20                  static determinism/numeric-safety audit of the workspace\n\
+         \x20                  source; exit 1 on violations (see crates/audit)\n\
+         serve --socket PATH\n\
+         \x20                  daemon: keeps parsed workloads and finished cells resident,\n\
+         \x20                  answers line-delimited JSON queries until shutdown\n\
+         query <run FILE.scn|status|metrics|cache [clear]|shutdown> --socket PATH\n\
+         \x20                  one request to a running daemon: `run` prints what `run\n\
+         \x20                  FILE.scn --no-csv` prints with the same --set pairs; `metrics`\n\
+         \x20                  adds per-op latency histograms to the counters; `cache --swf\n\
+         \x20                  PATH` pins a parsed and cleaned trace in the workload cache\n\
+         trace-summary FILE validate a --trace-out Chrome trace (fig3/fig4/fig5/all) and\n\
+         \x20                  print per-cell event tallies; exit 1 on malformed input\n\
+         flags, each with the subcommands that read it:{flags}",
+        EXPERIMENTS.join("|"),
+        tools.join("|"),
     )
 }
 
+/// One parsed command line.
 struct Args {
-    experiment: String,
+    /// The experiment or tooling subcommand.
+    command: String,
+    /// Its bare operands, at most as many as [`TOOLS`] allows.
+    operands: Vec<String>,
+    /// Every flag given, in order, with its value (`""` for a switch).
+    flags: Vec<(&'static Flag, String)>,
+    /// What the experiments read: `--jobs`, `--seed`, `--threads`,
+    /// `--out`/`--no-csv` and `--trace-out`.
     opts: ExpOptions,
-    /// `true` iff `--jobs`/`--seed`/an output flag was given explicitly
-    /// (the `run` subcommand only overrides the scenario file then).
-    jobs_set: bool,
-    seed_set: bool,
-    out_set: bool,
-    /// Positional argument after the subcommand (the `.scn` path for `run`).
-    positional: Option<String>,
-    // tooling options
-    workload: Option<String>,
-    swf: Option<PathBuf>,
-    bsld_th: Option<f64>,
-    wq: Option<WqThreshold>,
-    conservative: bool,
-    boost: Option<usize>,
-    /// Path prefix for `simulate`'s schedule/utilization/queue CSV exports.
-    export: Option<String>,
-    /// Campaign directory for `run --resume`: cached cells are skipped,
-    /// fresh rows are appended to the manifest there.
-    resume: Option<PathBuf>,
-    /// `--shard I/N` for `campaign-worker`.
-    shard: Option<String>,
-    /// Unix-socket path for `serve` / `query`.
-    socket: Option<PathBuf>,
-    /// `serve --workers N`: concurrent connection handlers.
-    workers: Option<usize>,
-    /// `serve --cache N`: result-cache capacity in cells.
-    cache: Option<usize>,
-    /// `serve --budget S` (default per-request budget) or `query run
-    /// --budget S` (this request's budget override).
-    budget: Option<f64>,
-    /// `query run --set key=value` overrides (repeatable).
-    sets: Vec<String>,
-    /// Second positional operand (`query run FILE.scn`, `query cache clear`).
-    positional2: Option<String>,
-    /// `gen-swf --max-procs P`: machine size of the synthetic trace.
-    max_procs: Option<u32>,
 }
 
-/// `Ok(true)`: `--help` was requested (print usage, exit 0).
-fn parse_args() -> Result<(Args, bool), String> {
-    let mut opts = ExpOptions::default();
-    let mut experiment: Option<String> = None;
-    let mut positional = None;
-    let mut jobs_set = false;
-    let mut seed_set = false;
-    let mut out_set = false;
-    let mut help = false;
-    let mut workload = None;
-    let mut swf = None;
-    let mut bsld_th = None;
-    let mut wq = None;
-    let mut conservative = false;
-    let mut boost = None;
-    let mut export = None;
-    let mut resume = None;
-    let mut shard = None;
-    let mut socket = None;
-    let mut workers = None;
-    let mut cache = None;
-    let mut budget = None;
-    let mut sets = Vec::new();
-    let mut positional2 = None;
-    let mut max_procs = None;
-    let mut it = std::env::args().skip(1);
+impl Args {
+    /// The last value given for `name`.
+    fn value(&self, name: &str) -> Option<&str> {
+        let mut given = self.flags.iter().rev().filter(|(f, _)| f.name == name);
+        given.next().map(|(_, v)| v.as_str())
+    }
+
+    /// Every value given for `name`, in order.
+    fn values(&self, name: &str) -> Vec<&str> {
+        let given = self.flags.iter().filter(|(f, _)| f.name == name);
+        given.map(|(_, v)| v.as_str()).collect()
+    }
+
+    fn given(&self, name: &str) -> bool {
+        self.value(name).is_some()
+    }
+
+    /// The last value given for `name`, parsed.
+    fn parsed<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| v.parse().map_err(|_| format!("bad {name} value: {v}")))
+            .transpose()
+    }
+
+    /// Whether `--out` or `--no-csv` was given (a scenario file's own
+    /// `out_dir` is overridden only then).
+    fn out_set(&self) -> bool {
+        self.given("--out") || self.given("--no-csv")
+    }
+}
+
+/// Parses the command line against [`FLAGS`] and [`TOOLS`]. `Ok(None)`:
+/// `--help` was given (print usage, exit 0).
+fn parse_args(raw: &[String]) -> Result<Option<Args>, String> {
+    let mut command: Option<String> = None;
+    let mut operands = Vec::new();
+    let mut flags = Vec::new();
+    let mut it = raw.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                opts.jobs = v.parse().map_err(|_| format!("bad --jobs value: {v}"))?;
-                jobs_set = true;
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad --seed value: {v}"))?;
-                seed_set = true;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                opts.threads = v.parse().map_err(|_| format!("bad --threads value: {v}"))?;
-            }
-            "--out" => {
-                let v = it.next().ok_or("--out needs a value")?;
-                opts.out_dir = Some(PathBuf::from(v));
-                out_set = true;
-            }
-            "--no-csv" => {
-                opts.out_dir = None;
-                out_set = true;
-            }
-            "--trace-out" => {
-                opts.trace_out = Some(PathBuf::from(it.next().ok_or("--trace-out needs a path")?));
-            }
-            "--workload" => {
-                workload = Some(it.next().ok_or("--workload needs a value")?);
-            }
-            "--swf" => {
-                swf = Some(PathBuf::from(it.next().ok_or("--swf needs a value")?));
-            }
-            "--bsld-th" => {
-                let v = it.next().ok_or("--bsld-th needs a value")?;
-                bsld_th = Some(v.parse().map_err(|_| format!("bad --bsld-th value: {v}"))?);
-            }
-            "--wq" => {
-                let v = it.next().ok_or("--wq needs a value")?;
-                wq = Some(WqThreshold::parse(&v)?);
-            }
-            "--conservative" => conservative = true,
-            "--boost" => {
-                let v = it.next().ok_or("--boost needs a value")?;
-                boost = Some(v.parse().map_err(|_| format!("bad --boost value: {v}"))?);
-            }
-            "--export" => {
-                export = Some(it.next().ok_or("--export needs a path prefix")?);
-            }
-            "--resume" => {
-                resume = Some(PathBuf::from(
-                    it.next().ok_or("--resume needs a directory")?,
-                ));
-            }
-            "--shard" => {
-                shard = Some(it.next().ok_or("--shard needs a value (I/N)")?);
-            }
-            "--socket" => {
-                socket = Some(PathBuf::from(it.next().ok_or("--socket needs a path")?));
-            }
-            "--workers" => {
-                let v = it.next().ok_or("--workers needs a value")?;
-                workers = Some(v.parse().map_err(|_| format!("bad --workers value: {v}"))?);
-            }
-            "--cache" => {
-                let v = it.next().ok_or("--cache needs a value")?;
-                cache = Some(v.parse().map_err(|_| format!("bad --cache value: {v}"))?);
-            }
-            "--budget" => {
-                let v = it.next().ok_or("--budget needs a value (seconds)")?;
-                budget = Some(v.parse().map_err(|_| format!("bad --budget value: {v}"))?);
-            }
-            "--max-procs" => {
-                let v = it.next().ok_or("--max-procs needs a value")?;
-                max_procs = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --max-procs value: {v}"))?,
-                );
-            }
-            "--set" => {
-                let v = it.next().ok_or("--set needs key=value")?;
-                if !v.contains('=') {
-                    return Err(format!("bad --set {v:?}: expected key=value"));
-                }
-                sets.push(v);
-            }
-            "--help" | "-h" => help = true,
-            other if experiment.is_none() && !other.starts_with('-') => {
-                experiment = Some(other.to_string());
-            }
-            // Only `run`, `campaign-worker` (the .scn path) and
-            // `campaign-merge` (the directory) take a positional operand;
-            // anywhere else a stray bare word is an error, not ignored.
-            other
-                if matches!(
-                    experiment.as_deref(),
-                    Some("run" | "campaign-worker" | "campaign-merge" | "query" | "trace-summary")
-                ) && positional.is_none()
-                    && !other.starts_with('-') =>
-            {
-                positional = Some(other.to_string());
-            }
-            // `query` takes a second operand: `query run FILE.scn`,
-            // `query cache clear`.
-            other
-                if experiment.as_deref() == Some("query")
-                    && positional2.is_none()
-                    && !other.starts_with('-') =>
-            {
-                positional2 = Some(other.to_string());
-            }
-            other => return Err(format!("unknown argument: {other}\n{}", usage())),
-        }
-    }
-    if help {
-        // A bare `--help` needs no experiment.
-        return Ok((
-            Args {
-                experiment: String::new(),
-                opts,
-                jobs_set,
-                seed_set,
-                out_set,
-                positional,
-                workload,
-                swf,
-                bsld_th,
-                wq,
-                conservative,
-                boost,
-                export,
-                resume,
-                shard,
-                socket,
-                workers,
-                cache,
-                budget,
-                sets,
-                positional2,
-                max_procs,
-            },
-            true,
-        ));
-    }
-    let experiment = experiment.ok_or_else(usage)?;
-    if opts.trace_out.is_some() && !matches!(experiment.as_str(), "fig3" | "fig4" | "fig5" | "all")
-    {
-        return Err(format!(
-            "--trace-out only applies to the grid experiments (fig3, fig4, fig5, all)\n{}",
-            usage()
-        ));
-    }
-    if resume.is_some() && experiment != "run" {
-        return Err(format!(
-            "--resume only applies to the run subcommand\n{}",
-            usage()
-        ));
-    }
-    if shard.is_some() && experiment != "campaign-worker" {
-        return Err(format!(
-            "--shard only applies to the campaign-worker subcommand\n{}",
-            usage()
-        ));
-    }
-    if socket.is_some() && !matches!(experiment.as_str(), "serve" | "query") {
-        return Err(format!(
-            "--socket only applies to the serve and query subcommands\n{}",
-            usage()
-        ));
-    }
-    if (workers.is_some() || cache.is_some()) && experiment != "serve" {
-        return Err(format!(
-            "--workers/--cache only apply to the serve subcommand\n{}",
-            usage()
-        ));
-    }
-    if !sets.is_empty() && experiment != "query" {
-        return Err(format!(
-            "--set only applies to the query subcommand\n{}",
-            usage()
-        ));
-    }
-    if budget.is_some() && !matches!(experiment.as_str(), "serve" | "query") {
-        return Err(format!(
-            "--budget only applies to the serve and query subcommands\n{}",
-            usage()
-        ));
-    }
-    if max_procs.is_some() && experiment != "gen-swf" {
-        return Err(format!(
-            "--max-procs only applies to the gen-swf subcommand\n{}",
-            usage()
-        ));
-    }
-    Ok((
-        Args {
-            experiment,
-            opts,
-            jobs_set,
-            seed_set,
-            out_set,
-            positional,
-            workload,
-            swf,
-            bsld_th,
-            wq,
-            conservative,
-            boost,
-            export,
-            resume,
-            shard,
-            socket,
-            workers,
-            cache,
-            budget,
-            sets,
-            positional2,
-            max_procs,
-        },
-        false,
-    ))
-}
-
-/// Builds the scenario described by the tooling flags (`--workload` /
-/// `--swf`, policy and engine options) — the single construction path both
-/// `simulate` and `generate` go through.
-fn scenario_from_args(args: &Args) -> Result<Scenario, String> {
-    let mut sc = match (&args.swf, &args.workload) {
-        (Some(path), _) => {
-            let mut sc = Scenario::synthetic("cli", ProfileName::Ctc, 0, 0);
-            sc.workload = WorkloadSpec::Swf {
-                path: path.clone(),
-                clean: true,
+        let name = if arg == "-h" { "--help" } else { arg.as_str() };
+        if let Some(f) = FLAGS.iter().find(|f| f.name == name) {
+            let value = match f.value {
+                "" => String::new(),
+                what => it
+                    .next()
+                    .ok_or_else(|| format!("{name} needs a value ({what})"))?
+                    .clone(),
             };
-            sc
+            flags.push((f, value));
+            continue;
         }
-        (None, Some(name)) => Scenario::synthetic(
-            "cli",
-            ProfileName::parse(name)?,
-            args.opts.jobs,
-            args.opts.seed,
-        ),
-        (None, None) => return Err("simulate/generate need --workload or --swf".to_string()),
+        let takes = command.as_deref().map_or(0, operand_count);
+        match &command {
+            None if !arg.starts_with('-') => command = Some(arg.clone()),
+            Some(_) if !arg.starts_with('-') && operands.len() < takes => {
+                operands.push(arg.clone());
+            }
+            // A stray bare word is an error, not ignored: `table3 100`
+            // (forgot --jobs) must not run the defaults.
+            _ => return Err(format!("unknown argument: {arg}\n{}", usage())),
+        }
+    }
+    if flags.iter().any(|(f, _)| f.name == "--help") {
+        return Ok(None);
+    }
+    let command = command.ok_or_else(usage)?;
+    let is_experiment = EXPERIMENTS.contains(&command.as_str());
+    if !is_experiment && !TOOLS.iter().any(|&(t, _)| t == command) {
+        let tools: Vec<&str> = TOOLS.iter().map(|&(t, _)| t).collect();
+        return Err(format!(
+            "unknown experiment: {command} (valid: {}, {})\n{}",
+            EXPERIMENTS.join(", "),
+            tools.join(", "),
+            usage()
+        ));
+    }
+    for (f, _) in &flags {
+        let reads = |r: &str| r == command || (r == "experiments" && is_experiment);
+        if !f.readers.split(' ').any(reads) {
+            return Err(format!(
+                "{} only applies to {}\n{}",
+                f.name,
+                f.readers.replace(' ', ", "),
+                usage()
+            ));
+        }
+    }
+    let mut args = Args {
+        command,
+        operands,
+        flags,
+        opts: ExpOptions::default(),
     };
-    if args.conservative {
-        sc.engine.mode = bsld_sched::SchedMode::Conservative;
+    if let Some(jobs) = args.parsed("--jobs")? {
+        args.opts.jobs = jobs;
     }
-    sc.power.boost = args.boost;
-    if let Some(th) = args.bsld_th {
-        sc.policy = PolicySpec::BsldThreshold {
-            th,
-            wq: args.wq.unwrap_or(WqThreshold::NoLimit),
-        };
+    if let Some(seed) = args.parsed("--seed")? {
+        args.opts.seed = seed;
     }
-    Ok(sc)
-}
-
-fn run_generate(args: &Args) -> Result<(), String> {
-    let name = args
-        .workload
-        .as_deref()
-        .ok_or("generate needs --workload")?;
-    let out = args.swf.clone().ok_or("generate needs --swf FILE")?;
-    let profile = ProfileName::parse(name)?;
-    let w = Scenario::synthetic("generate", profile, args.opts.jobs, args.opts.seed)
-        .build_workload()
-        .map_err(|e| e.to_string())?;
-    let text = bsld_swf::write_swf(&w.to_swf());
-    std::fs::write(&out, text).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-    eprintln!(
-        "# wrote {} ({} jobs on {} cpus, offered load {:.2})",
-        out.display(),
-        w.jobs.len(),
-        w.cpus,
-        w.offered_load()
-    );
-    Ok(())
+    if let Some(threads) = args.parsed("--threads")? {
+        args.opts.threads = threads;
+    }
+    // `--out DIR` and `--no-csv` override each other: the later one wins.
+    let out = args
+        .flags
+        .iter()
+        .rev()
+        .find(|(f, _)| matches!(f.name, "--out" | "--no-csv"));
+    if let Some((f, dir)) = out {
+        args.opts.out_dir = (f.name == "--out").then(|| PathBuf::from(dir));
+    }
+    args.opts.trace_out = args.value("--trace-out").map(PathBuf::from);
+    Ok(Some(args))
 }
 
 /// `gen-swf --jobs N --seed S --swf FILE [--max-procs P]`: write a
-/// deterministic synthetic SWF trace straight to disk — the scale-testing
-/// counterpart of `generate` (which routes through a calibrated profile
-/// and holds the whole workload in memory).
+/// deterministic synthetic SWF trace straight to disk, for scale testing
+/// (`run --export` writes the SWF of a calibrated profile's workload).
 fn run_gen_swf(args: &Args) -> Result<(), String> {
-    let out = args.swf.clone().ok_or("gen-swf needs --swf FILE")?;
+    let out = args.value("--swf").ok_or("gen-swf needs --swf FILE")?;
     let jobs = args.opts.jobs as u64;
-    let max_procs = args.max_procs.unwrap_or(bsld_swf::GEN_SWF_DEFAULT_PROCS);
+    let max_procs = args
+        .parsed("--max-procs")?
+        .unwrap_or(bsld_swf::GEN_SWF_DEFAULT_PROCS);
     if max_procs == 0 {
         return Err("--max-procs must be at least 1".to_string());
     }
-    let file =
-        std::fs::File::create(&out).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+    let file = std::fs::File::create(out).map_err(|e| format!("cannot write {out}: {e}"))?;
     let mut w = std::io::BufWriter::new(file);
     bsld_swf::generate_swf(&mut w, jobs, args.opts.seed, max_procs)
         .and_then(|()| std::io::Write::flush(&mut w))
-        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+        .map_err(|e| format!("cannot write {out}: {e}"))?;
     eprintln!(
-        "# wrote {} ({jobs} jobs on {max_procs} cpus, seed {})",
-        out.display(),
+        "# wrote {out} ({jobs} jobs on {max_procs} cpus, seed {})",
         args.opts.seed
     );
     Ok(())
 }
 
-fn run_simulate(args: &Args) -> Result<(), String> {
-    let sc = scenario_from_args(args)?;
-    let w = sc.build_workload().map_err(|e| e.to_string())?;
-    let sim = sc.simulator(&w).map_err(|e| e.to_string())?;
-    let label = match &sc.policy {
-        PolicySpec::Baseline => "EASY baseline (no DVFS)".to_string(),
-        PolicySpec::FixedGear(g) => format!("fixed gear {g}"),
-        PolicySpec::BsldThreshold { th, wq } => format!("power-aware {th}/{}", wq.label()),
-    };
-    println!(
-        "{}: {} jobs on {} cpus — {label}",
-        w.cluster_name,
-        w.jobs.len(),
-        w.cpus
-    );
-    let res = sc
-        .run_prepared(&sim, &w.jobs)
-        .map_err(|e| e.to_string())?
-        .run;
-    let m = &res.metrics;
-    println!(
-        "avg BSLD {:.2} | avg wait {:.0} s | reduced {} | util {:.3} | makespan {:.1} d",
-        m.avg_bsld,
-        m.avg_wait_secs,
-        m.reduced_jobs,
-        m.utilization,
-        m.makespan_secs as f64 / 86_400.0
-    );
-    println!(
-        "energy: computational {:.3e}, with idle {:.3e} (normalised units)",
-        m.energy.computational, m.energy.with_idle
-    );
-    let details = RunDetails::compute(&res.outcomes, &sim.power);
-    println!("\n{}", details.render());
+/// The `run FILE.scn` subcommand: parse, expand the sweep axes, run every
+/// cell in parallel and print/write a results table.
+fn run_scenario_file(args: &Args) -> Result<(), String> {
+    let path = args
+        .operands
+        .first()
+        .ok_or("run needs a scenario file: bsld-repro run FILE.scn")?;
+    let mut set = load_scenario_file(path, args)?;
+    if args.out_set() {
+        set.base.output.out_dir = args.opts.out_dir.clone();
+    }
+    // Replicated sweeps, budgeted sweeps and resumable runs go through the
+    // campaign layer: per-cell mean ± 95% CI, content-hash cell IDs,
+    // incremental manifest, failure rows.
+    if set.replications > 1 || set.cell_budget_s.is_some() || args.given("--resume") {
+        if args.given("--export") {
+            return Err(
+                "--export does not apply to a campaign run (replications, cell_budget_s or \
+                 --resume): it writes one schedule per cell, a campaign runs many"
+                    .to_string(),
+            );
+        }
+        return run_campaign_file(path, &set, args);
+    }
+    let cells = set.expand().map_err(|e| e.to_string())?;
+    eprintln!("# {path}: {} scenario(s)", cells.len());
+    let results = bsld_core::scenario::run_many(&cells, args.opts.threads);
 
-    if let Some(prefix) = &args.export {
-        export_schedule(prefix, &res.outcomes).map_err(|e| format!("export failed: {e}"))?;
+    // The one sweep renderer, shared with the serve daemon: its output is
+    // the byte-identity contract between `run` and `query run`.
+    let rows: Vec<(String, Result<CellOutcome, String>)> = cells
+        .iter()
+        .zip(&results)
+        .map(|(sc, res)| {
+            let outcome = res.as_ref().map(CellOutcome::of);
+            (sc.name.clone(), outcome.map_err(|e| e.to_string()))
+        })
+        .collect();
+    let report = sweep_report(&rows);
+    println!("{}", report.table);
+    if let Some(dir) = &set.base.output.out_dir {
+        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+        let out = dir.join("scenario_results.csv");
+        std::fs::write(&out, &report.csv).map_err(|e| e.to_string())?;
+        eprintln!("# wrote {}", out.display());
+    }
+    if let Some(dir) = args.value("--export") {
+        export_cells(Path::new(dir), &cells, &results)
+            .map_err(|e| format!("export failed: {e}"))?;
+    }
+    if let Some(msg) = report.failure_summary() {
+        return Err(msg);
     }
     Ok(())
 }
 
-/// Writes `<prefix>_schedule.csv` (one row per job: the Gantt data),
-/// `<prefix>_utilization.csv` and `<prefix>_queue.csv` (step series).
-fn export_schedule(prefix: &str, outcomes: &[bsld_model::JobOutcome]) -> std::io::Result<()> {
+/// `run --export DIR`: writes five files per cell that ran, named after
+/// the cell's expansion index and its name with every character outside
+/// `[A-Za-z0-9._-]` mapped to `_` (`3-paper-blue-bsld_2_NO`), so any two
+/// cells get distinct, filesystem-safe names.
+fn export_cells(
+    dir: &Path,
+    cells: &[Scenario],
+    results: &[Result<ScenarioResult, ScenarioError>],
+) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    for (i, (sc, res)) in cells.iter().zip(results).enumerate() {
+        let Ok(res) = res else { continue };
+        let safe = |c: char| c.is_ascii_alphanumeric() || matches!(c, '.' | '-' | '_');
+        let name: String = sc
+            .name
+            .chars()
+            .map(|c| if safe(c) { c } else { '_' })
+            .collect();
+        for (suffix, bytes) in cell_files(sc, &res.run)? {
+            let path = dir.join(format!("{i}-{name}{suffix}"));
+            std::fs::write(&path, bytes)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            eprintln!("# wrote {}", path.display());
+        }
+    }
+    Ok(())
+}
+
+/// One cell's export files, by name suffix:
+///
+/// * `_schedule.csv`: one row per job, the Gantt data;
+/// * `_utilization.csv` and `_queue.csv`: step series;
+/// * `_details.txt`: utilisation, makespan and idle energy, which the
+///   results table lacks, and the per-class [`RunDetails`];
+/// * `.swf`: the cell's workload as an SWF trace.
+///
+/// The run keeps only outcomes and metrics, so the workload and the power
+/// rails are rebuilt from the spec.
+fn cell_files(sc: &Scenario, run: &RunResult) -> Result<[(&'static str, Vec<u8>); 5], String> {
     use bsld_metrics::series::{queue_depth_series, utilization_series};
 
-    let mut by_id: Vec<&bsld_model::JobOutcome> = outcomes.iter().collect();
+    let w = sc.build_workload().map_err(|e| e.to_string())?;
+    let sim = sc.simulator(&w).map_err(|e| e.to_string())?;
+    let csv = |header: &[&str], rows: Vec<Vec<String>>| {
+        let mut bytes = Vec::new();
+        bsld_metrics::write_csv(&mut bytes, header, &rows).map_err(|e| e.to_string())?;
+        Ok::<_, String>(bytes)
+    };
+    let series = |name: &str, points: Vec<(u64, u32)>| {
+        let rows = points
+            .iter()
+            .map(|&(t, v)| vec![t.to_string(), v.to_string()]);
+        csv(&["time_s", name], rows.collect())
+    };
+    let mut by_id: Vec<&bsld_model::JobOutcome> = run.outcomes.iter().collect();
     by_id.sort_by_key(|o| o.id);
-    let rows: Vec<Vec<String>> = by_id
+    let schedule = by_id
         .iter()
         .map(|o| {
             vec![
@@ -560,116 +459,59 @@ fn export_schedule(prefix: &str, outcomes: &[bsld_model::JobOutcome]) -> std::io
             ]
         })
         .collect();
-    let path = format!("{prefix}_schedule.csv");
-    let mut f = std::fs::File::create(&path)?;
-    bsld_metrics::write_csv(
-        &mut f,
-        &[
-            "job",
-            "cpus",
-            "arrival_s",
-            "start_s",
-            "finish_s",
-            "gear",
-            "bsld",
-        ],
-        &rows,
-    )?;
-    eprintln!("# wrote {path}");
-
-    for (name, series) in [
-        ("utilization", utilization_series(outcomes)),
-        ("queue", queue_depth_series(outcomes)),
-    ] {
-        let rows: Vec<Vec<String>> = series
-            .iter()
-            .map(|&(t, v)| vec![t.to_string(), v.to_string()])
-            .collect();
-        let path = format!("{prefix}_{name}.csv");
-        let mut f = std::fs::File::create(&path)?;
-        bsld_metrics::write_csv(&mut f, &["time_s", name], &rows)?;
-        eprintln!("# wrote {path}");
-    }
-    Ok(())
+    let columns = [
+        "job",
+        "cpus",
+        "arrival_s",
+        "start_s",
+        "finish_s",
+        "gear",
+        "bsld",
+    ];
+    let m = &run.metrics;
+    let details = format!(
+        "avg BSLD {:.2} | avg wait {:.0} s | reduced {} | util {:.3} | makespan {:.1} d\n\
+         energy: computational {:.3e}, with idle {:.3e} (normalised units)\n\n{}\n",
+        m.avg_bsld,
+        m.avg_wait_secs,
+        m.reduced_jobs,
+        m.utilization,
+        m.makespan_secs as f64 / 86_400.0,
+        m.energy.computational,
+        m.energy.with_idle,
+        RunDetails::compute(&run.outcomes, &sim.power).render()
+    );
+    Ok([
+        ("_schedule.csv", csv(&columns, schedule)?),
+        (
+            "_utilization.csv",
+            series("utilization", utilization_series(&run.outcomes))?,
+        ),
+        (
+            "_queue.csv",
+            series("queue", queue_depth_series(&run.outcomes))?,
+        ),
+        ("_details.txt", details.into_bytes()),
+        (".swf", bsld_swf::write_swf(&w.to_swf()).into_bytes()),
+    ])
 }
 
-/// The `run FILE.scn` subcommand: parse, expand the sweep axes, run every
-/// cell in parallel and print/write a results table.
-fn run_scenario_file(args: &Args) -> Result<(), String> {
-    // simulate/generate flags have no meaning here; accepting them would
-    // let a user believe they overrode the file's configuration.
-    for (flag, given) in [
-        ("--workload", args.workload.is_some()),
-        ("--swf", args.swf.is_some()),
-        ("--bsld-th", args.bsld_th.is_some()),
-        ("--wq", args.wq.is_some()),
-        ("--conservative", args.conservative),
-        ("--boost", args.boost.is_some()),
-        ("--export", args.export.is_some()),
-    ] {
-        if given {
-            return Err(format!(
-                "{flag} does not apply to `run`: the scenario file defines the configuration"
-            ));
-        }
-    }
-    let path = args
-        .positional
-        .as_deref()
-        .ok_or("run needs a scenario file: bsld-repro run FILE.scn")?;
-    let mut set = load_scenario_file(path, args)?;
-    if args.out_set {
-        set.base.output.out_dir = args.opts.out_dir.clone();
-    }
-    // Replicated sweeps, budgeted sweeps and resumable runs go through the
-    // campaign layer: per-cell mean ± 95% CI, content-hash cell IDs,
-    // incremental manifest, failure rows.
-    if set.replications > 1 || set.cell_budget_s.is_some() || args.resume.is_some() {
-        return run_campaign_file(path, &set, args);
-    }
-    let cells = set.expand().map_err(|e| e.to_string())?;
-    eprintln!("# {path}: {} scenario(s)", cells.len());
-    let results = bsld_core::scenario::run_many(&cells, args.opts.threads);
-
-    // The one sweep renderer, shared with the serve daemon: its output is
-    // the byte-identity contract between `run` and `query run`.
-    let rows: Vec<(String, Result<CellOutcome, String>)> = cells
-        .iter()
-        .zip(results)
-        .map(|(sc, res)| {
-            (
-                sc.name.clone(),
-                res.map(|r| CellOutcome::of(&r)).map_err(|e| e.to_string()),
-            )
-        })
-        .collect();
-    let report = sweep_report(&rows);
-    println!("{}", report.table);
-    if let Some(dir) = &set.base.output.out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-        let out = dir.join("scenario_results.csv");
-        std::fs::write(&out, &report.csv).map_err(|e| e.to_string())?;
-        eprintln!("# wrote {}", out.display());
-    }
-    if let Some(msg) = report.failure_summary() {
-        return Err(msg);
-    }
-    Ok(())
-}
-
-/// Parses a scenario file and applies the `--jobs`/`--seed` overrides —
-/// the shared front door of `run` and `campaign-worker` (both must see the
-/// same spec for their artifacts to be byte-identical).
+/// Parses a scenario file, applies the `--jobs`/`--seed` overrides and
+/// then the `--set` pairs — the shared front door of `run` and
+/// `campaign-worker` (both must see the same spec for their artifacts to
+/// be byte-identical). `--set` goes through the overrides `query run`
+/// sends, so `run F --set k=v` prints what `query run F --set k=v` prints.
 fn load_scenario_file(path: &str, args: &Args) -> Result<ScenarioSet, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut set = ScenarioSet::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    if args.jobs_set || args.seed_set {
+    let (jobs_set, seed_set) = (args.given("--jobs"), args.given("--seed"));
+    if jobs_set || seed_set {
         match &mut set.base.workload {
             WorkloadSpec::Synthetic { jobs, seed, .. } => {
-                if args.jobs_set {
+                if jobs_set {
                     *jobs = args.opts.jobs;
                 }
-                if args.seed_set {
+                if seed_set {
                     *seed = args.opts.seed;
                 }
             }
@@ -682,6 +524,7 @@ fn load_scenario_file(path: &str, args: &Args) -> Result<ScenarioSet, String> {
             }
         }
     }
+    query_overrides(&args.values("--set"), None)?.apply(&mut set)?;
     Ok(set)
 }
 
@@ -695,7 +538,7 @@ fn run_campaign_file(path: &str, set: &ScenarioSet, args: &Args) -> Result<(), S
     // --out next to --resume would be silently shadowed — reject it
     // instead of letting the user believe artifacts land in two places
     // (--no-csv stays allowed: it asks for nothing).
-    if args.resume.is_some() && args.out_set && args.opts.out_dir.is_some() {
+    if args.given("--resume") && args.out_set() && args.opts.out_dir.is_some() {
         return Err(
             "--out does not combine with --resume: the campaign's manifest and results \
              live in the resume directory"
@@ -703,13 +546,13 @@ fn run_campaign_file(path: &str, set: &ScenarioSet, args: &Args) -> Result<(), S
         );
     }
     let dir = args
-        .resume
-        .clone()
+        .value("--resume")
+        .map(PathBuf::from)
         .or_else(|| set.base.output.out_dir.clone());
     let opts = CampaignOptions {
         threads: args.opts.threads,
         dir: dir.clone(),
-        resume: args.resume.is_some(),
+        resume: args.given("--resume"),
     };
     let cells = set.expand().map_err(|e| e.to_string())?.len();
     eprintln!(
@@ -767,18 +610,17 @@ fn run_campaign_file(path: &str, set: &ScenarioSet, args: &Args) -> Result<(), S
 /// one content-hash shard of the campaign, appending to this worker's own
 /// manifest in the shared directory. Re-running after a crash resumes.
 fn run_campaign_worker(args: &Args) -> Result<(), String> {
-    let path = args.positional.as_deref().ok_or(
+    let path = args.operands.first().ok_or(
         "campaign-worker needs a scenario file: bsld-repro campaign-worker FILE.scn --shard I/N --out DIR",
     )?;
     let shard = Shard::parse(
-        args.shard
-            .as_deref()
+        args.value("--shard")
             .ok_or("campaign-worker needs --shard I/N")?,
     )?;
-    let dir = match (&args.opts.out_dir, args.out_set) {
-        (Some(d), true) => d.clone(),
-        _ => return Err("campaign-worker needs --out DIR (the shared campaign directory)".into()),
-    };
+    let dir = PathBuf::from(
+        args.value("--out")
+            .ok_or("campaign-worker needs --out DIR (the shared campaign directory)")?,
+    );
     let set = load_scenario_file(path, args)?;
     eprintln!(
         "# {path}: shard {shard} into {} (manifest {})",
@@ -820,8 +662,8 @@ fn run_campaign_worker(args: &Args) -> Result<(), String> {
 /// a single-process `run` of the pinned scenario file.
 fn run_campaign_merge(args: &Args) -> Result<(), String> {
     let dir = PathBuf::from(
-        args.positional
-            .as_deref()
+        args.operands
+            .first()
             .ok_or("campaign-merge needs a directory: bsld-repro campaign-merge DIR")?,
     );
     let merged = merge_campaign(&dir).map_err(|e| e.to_string())?;
@@ -873,18 +715,17 @@ fn run_campaign_merge(args: &Args) -> Result<(), String> {
 /// block until a client sends `{"op":"shutdown"}`.
 fn run_serve(args: &Args) -> Result<(), String> {
     let socket = args
-        .socket
-        .clone()
+        .value("--socket")
         .ok_or("serve needs --socket PATH (the Unix socket to listen on)")?;
-    let mut cfg = bsld_serve::ServeConfig::new(socket);
-    if let Some(w) = args.workers {
+    let mut cfg = bsld_serve::ServeConfig::new(PathBuf::from(socket));
+    if let Some(w) = args.parsed::<usize>("--workers")? {
         cfg.workers = w.max(1);
     }
     cfg.state.threads = args.opts.threads;
-    if let Some(n) = args.cache {
+    if let Some(n) = args.parsed("--cache")? {
         cfg.state.result_capacity = n;
     }
-    cfg.state.default_budget_s = args.budget;
+    cfg.state.default_budget_s = args.parsed("--budget")?;
     eprintln!(
         "# serve: listening on {} (workers={}, threads={}, result cache={} cells{})",
         cfg.socket.display(),
@@ -904,7 +745,7 @@ fn run_serve(args: &Args) -> Result<(), String> {
 
 /// Builds the daemon overrides from `--set key=value` pairs, each value
 /// written as in a `.scn` file, plus `--budget`.
-fn query_overrides(sets: &[String], budget: Option<f64>) -> Result<bsld_serve::Overrides, String> {
+fn query_overrides(sets: &[&str], budget: Option<f64>) -> Result<bsld_serve::Overrides, String> {
     let mut pairs = Vec::new();
     for kv in sets {
         let (k, v) = kv
@@ -923,22 +764,21 @@ fn query_overrides(sets: &[String], budget: Option<f64>) -> Result<bsld_serve::O
 /// `run` subcommand — and exits 1 on cell failures, exactly like it.
 fn run_query(args: &Args) -> Result<(), String> {
     let socket = args
-        .socket
-        .clone()
+        .value("--socket")
         .ok_or("query needs --socket PATH (a running daemon's socket)")?;
-    let op = args.positional.as_deref().ok_or(
+    let op = args.operands.first().ok_or(
         "query needs an operation: query <run FILE.scn|status|metrics|cache [clear]|shutdown> --socket PATH",
     )?;
-    let mut client = bsld_serve::Client::connect(&socket)?;
-    match op {
+    let mut client = bsld_serve::Client::connect(Path::new(socket))?;
+    let reply = match op.as_str() {
         "run" => {
             let file = args
-                .positional2
-                .as_deref()
+                .operands
+                .get(1)
                 .ok_or("query run needs a scenario file: query run FILE.scn --socket PATH")?;
             let text = std::fs::read_to_string(file)
                 .map_err(|e| format!("cannot read scenario file {file}: {e}"))?;
-            let ov = query_overrides(&args.sets, args.budget)?;
+            let ov = query_overrides(&args.values("--set"), args.parsed("--budget")?)?;
             let reply = client.run(&text, &ov)?;
             if reply.get("ok").and_then(Json::as_bool) != Some(true) {
                 let msg = reply
@@ -952,23 +792,15 @@ fn run_query(args: &Args) -> Result<(), String> {
                 .and_then(Json::as_str)
                 .ok_or("daemon reply lacks a table")?;
             println!("{table}");
-            if let Some(summary) = reply.get("failure_summary").and_then(Json::as_str) {
-                return Err(summary.to_string());
-            }
-            Ok(())
+            return match reply.get("failure_summary").and_then(Json::as_str) {
+                Some(summary) => Err(summary.to_string()),
+                None => Ok(()),
+            };
         }
-        "status" => {
-            let reply = client.status()?;
-            println!("{}", reply.render());
-            Ok(())
-        }
-        "metrics" => {
-            let reply = client.metrics()?;
-            println!("{}", reply.render());
-            Ok(())
-        }
+        "status" => client.status()?,
+        "metrics" => client.metrics()?,
         "cache" => {
-            let clear = match args.positional2.as_deref() {
+            let clear = match args.operands.get(1).map(String::as_str) {
                 None => false,
                 Some("clear") => true,
                 Some(other) => {
@@ -977,33 +809,25 @@ fn run_query(args: &Args) -> Result<(), String> {
                     ))
                 }
             };
-            let reply = match &args.swf {
+            match args.value("--swf") {
                 Some(path) if clear => {
                     return Err(format!(
-                        "cache takes either `clear` or --swf {}, not both",
-                        path.display()
+                        "cache takes either `clear` or --swf {path}, not both"
                     ))
                 }
-                Some(path) => {
-                    let p = path
-                        .to_str()
-                        .ok_or("--swf path must be valid UTF-8 for the wire protocol")?;
-                    client.cache_pin(p)?
-                }
+                Some(path) => client.cache_pin(path)?,
                 None => client.cache(clear)?,
-            };
-            println!("{}", reply.render());
-            Ok(())
+            }
         }
-        "shutdown" => {
-            let reply = client.shutdown()?;
-            println!("{}", reply.render());
-            Ok(())
+        "shutdown" => client.shutdown()?,
+        other => {
+            return Err(format!(
+                "unknown query operation {other:?} (run FILE.scn | status | metrics | cache [clear] | shutdown)"
+            ))
         }
-        other => Err(format!(
-            "unknown query operation {other:?} (run FILE.scn | status | metrics | cache [clear] | shutdown)"
-        )),
-    }
+    };
+    println!("{}", reply.render());
+    Ok(())
 }
 
 /// Per-cell tallies accumulated while validating a Chrome trace.
@@ -1032,8 +856,8 @@ struct TraceCellSummary {
 /// plane regressed.
 fn run_trace_summary(args: &Args) -> Result<(), String> {
     let path = args
-        .positional
-        .as_deref()
+        .operands
+        .first()
         .ok_or("trace-summary needs a trace file: bsld-repro trace-summary FILE")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
@@ -1161,200 +985,146 @@ fn run_trace_summary(args: &Args) -> Result<(), String> {
 
 fn main() -> ExitCode {
     // `audit` has its own flag set (--json, --root): hand it off before the
-    // experiment argument parser can reject those flags.
+    // flag table can reject those flags.
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.first().map(String::as_str) == Some("audit") {
         let code = bsld_audit::run_cli(&raw[1..]);
         return ExitCode::from(u8::try_from(code).unwrap_or(1));
     }
-    let (args, help) = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
+    match parse_args(&raw).and_then(|args| match args {
+        Some(args) => run_command(&args),
+        None => {
+            println!("{}", usage());
+            Ok(())
         }
-    };
-    if help {
-        println!("{}", usage());
-        return ExitCode::SUCCESS;
+    }) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
     }
+}
+
+fn run_command(args: &Args) -> Result<(), String> {
     let opts = &args.opts;
     eprintln!(
         "# bsld-repro: {} (jobs={}, seed={}, threads={})",
-        args.experiment, opts.jobs, opts.seed, opts.threads
+        args.command, opts.jobs, opts.seed, opts.threads
     );
     let t0 = std::time::Instant::now();
-    match args.experiment.as_str() {
-        "run" => {
-            if let Err(e) = run_scenario_file(&args) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "campaign-worker" => {
-            if let Err(e) = run_campaign_worker(&args) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "campaign-merge" => {
-            if let Err(e) = run_campaign_merge(&args) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "generate" => {
-            if let Err(e) = run_generate(&args) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "gen-swf" => {
-            if let Err(e) = run_gen_swf(&args) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "simulate" => {
-            if let Err(e) = run_simulate(&args) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "serve" => {
-            if let Err(e) = run_serve(&args) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "query" => {
-            if let Err(e) = run_query(&args) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "trace-summary" => {
-            if let Err(e) = run_trace_summary(&args) {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "table1" | "calibrate" => {
-            let t = table1::run(opts);
-            println!("{}", t.render());
-            report_csv(t.write_csv(opts).map(|p| p.into_iter().collect()));
-        }
-        "fig3" | "fig4" | "fig5" => {
-            let g = grid::run(opts);
-            match args.experiment.as_str() {
-                "fig3" => {
-                    println!("{}", g.render_fig3(false));
-                    println!("{}", g.render_fig3(true));
-                    println!("{}", g.render_summary());
-                }
-                "fig4" => println!("{}", g.render_fig4()),
-                _ => println!("{}", g.render_fig5()),
-            }
-            report_csv(g.write_csv(opts));
-        }
-        "fig6" => {
-            let f = fig6::run(opts);
-            println!("{}", f.render());
-            report_csv(f.write_csv(opts).map(|p| p.into_iter().collect()));
-        }
-        "table3" | "fig7" | "fig8" | "fig9" => {
-            let s = enlarged::run(opts);
-            match args.experiment.as_str() {
-                "table3" => println!("{}", s.render_table3()),
-                "fig7" => {
-                    println!("{}", s.render_energy(WqThreshold::Limit(0), false));
-                    println!("{}", s.render_energy(WqThreshold::Limit(0), true));
-                }
-                "fig8" => {
-                    println!("{}", s.render_energy(WqThreshold::NoLimit, false));
-                    println!("{}", s.render_energy(WqThreshold::NoLimit, true));
-                }
-                _ => {
-                    println!("{}", s.render_bsld(WqThreshold::NoLimit));
-                    println!("{}", s.render_bsld(WqThreshold::Limit(0)));
-                }
-            }
-            report_csv(s.write_csv(opts));
-        }
-        "ablations" => {
-            for a in [
-                ablation::boost(opts),
-                ablation::beta(opts),
-                ablation::fcfs(opts),
-                ablation::gears(opts),
-                ablation::selection(opts),
-            ] {
-                println!("{}", a.render());
-                report_csv(a.write_csv(opts).map(|p| p.into_iter().collect()));
-            }
-        }
-        "powercap" => {
-            let s = powercap::run(opts);
-            println!("{}", s.render_frontier());
-            println!("{}", s.render_cells());
-            report_csv(s.write_csv(opts));
-        }
-        "all" => {
-            let t = table1::run(opts);
-            println!("{}", t.render());
-            report_csv(t.write_csv(opts).map(|p| p.into_iter().collect()));
-
-            let g = grid::run(opts);
-            println!("{}", g.render_fig3(false));
-            println!("{}", g.render_fig3(true));
-            println!("{}", g.render_summary());
-            println!("{}", g.render_fig4());
-            println!("{}", g.render_fig5());
-            report_csv(g.write_csv(opts));
-
-            let f = fig6::run(opts);
-            println!("{}", f.render());
-            report_csv(f.write_csv(opts).map(|p| p.into_iter().collect()));
-
-            let s = enlarged::run(opts);
-            println!("{}", s.render_energy(WqThreshold::Limit(0), false));
-            println!("{}", s.render_energy(WqThreshold::Limit(0), true));
-            println!("{}", s.render_energy(WqThreshold::NoLimit, false));
-            println!("{}", s.render_energy(WqThreshold::NoLimit, true));
-            println!("{}", s.render_bsld(WqThreshold::NoLimit));
-            println!("{}", s.render_bsld(WqThreshold::Limit(0)));
-            println!("{}", s.render_table3());
-            report_csv(s.write_csv(opts));
-
-            for a in [
-                ablation::boost(opts),
-                ablation::beta(opts),
-                ablation::fcfs(opts),
-                ablation::gears(opts),
-                ablation::selection(opts),
-            ] {
-                println!("{}", a.render());
-                report_csv(a.write_csv(opts).map(|p| p.into_iter().collect()));
-            }
-
-            let pc = powercap::run(opts);
-            println!("{}", pc.render_frontier());
-            report_csv(pc.write_csv(opts));
-
-            write_summary_json(opts, &t, &g);
-        }
-        other => {
-            eprintln!(
-                "unknown experiment: {other} (valid: {}, run, campaign-worker, campaign-merge, \
-                 generate, gen-swf, simulate, serve, query, trace-summary)\n{}",
-                EXPERIMENTS.join(", "),
-                usage()
-            );
-            return ExitCode::FAILURE;
-        }
+    match args.command.as_str() {
+        "run" => run_scenario_file(args)?,
+        "campaign-worker" => run_campaign_worker(args)?,
+        "campaign-merge" => run_campaign_merge(args)?,
+        "gen-swf" => run_gen_swf(args)?,
+        "serve" => run_serve(args)?,
+        "query" => run_query(args)?,
+        "trace-summary" => run_trace_summary(args)?,
+        experiment => run_experiment(experiment, opts),
     }
     eprintln!("# done in {:.2?}", t0.elapsed());
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// Runs one experiment and prints it. Each study has one printer, which
+/// its single experiments and `all` share; `all` runs each study once.
+fn run_experiment(name: &str, opts: &ExpOptions) {
+    match name {
+        "table1" | "calibrate" => print_table1(&table1::run(opts), opts),
+        "fig3" | "fig4" | "fig5" => print_grid(&grid::run(opts), &[name], opts),
+        "fig6" => print_fig6(opts),
+        "table3" | "fig7" | "fig8" | "fig9" => print_enlarged(&enlarged::run(opts), &[name], opts),
+        "ablations" => print_ablations(opts),
+        "powercap" => print_powercap(opts, true),
+        // `all`: the parser admits no other name.
+        _ => {
+            let t = table1::run(opts);
+            print_table1(&t, opts);
+            let g = grid::run(opts);
+            print_grid(&g, &["fig3", "fig4", "fig5"], opts);
+            print_fig6(opts);
+            let views = ["fig7", "fig8", "fig9", "table3"];
+            print_enlarged(&enlarged::run(opts), &views, opts);
+            print_ablations(opts);
+            // The frontier only: the per-cell table would swamp the rest.
+            print_powercap(opts, false);
+            write_summary_json(opts, &t, &g);
+        }
+    }
+}
+
+fn print_table1(t: &table1::Table1, opts: &ExpOptions) {
+    println!("{}", t.render());
+    report_csv(t.write_csv(opts));
+}
+
+/// Prints the original-size grid as Figs. 3, 4 and 5, as `figs` names.
+fn print_grid(g: &grid::OriginalSizeGrid, figs: &[&str], opts: &ExpOptions) {
+    for &fig in figs {
+        match fig {
+            "fig3" => {
+                println!("{}", g.render_fig3(false));
+                println!("{}", g.render_fig3(true));
+                println!("{}", g.render_summary());
+            }
+            "fig4" => println!("{}", g.render_fig4()),
+            _ => println!("{}", g.render_fig5()),
+        }
+    }
+    report_csv(g.write_csv(opts));
+}
+
+fn print_fig6(opts: &ExpOptions) {
+    let f = fig6::run(opts);
+    println!("{}", f.render());
+    report_csv(f.write_csv(opts));
+}
+
+/// Prints the enlarged-systems study as Figs. 7, 8, 9 and Table 3, as
+/// `views` names.
+fn print_enlarged(s: &enlarged::EnlargedStudy, views: &[&str], opts: &ExpOptions) {
+    for &view in views {
+        match view {
+            "table3" => println!("{}", s.render_table3()),
+            "fig7" | "fig8" => {
+                let wq = if view == "fig7" {
+                    WqThreshold::Limit(0)
+                } else {
+                    WqThreshold::NoLimit
+                };
+                println!("{}", s.render_energy(wq, false));
+                println!("{}", s.render_energy(wq, true));
+            }
+            _ => {
+                println!("{}", s.render_bsld(WqThreshold::NoLimit));
+                println!("{}", s.render_bsld(WqThreshold::Limit(0)));
+            }
+        }
+    }
+    report_csv(s.write_csv(opts));
+}
+
+fn print_ablations(opts: &ExpOptions) {
+    for a in [
+        ablation::boost(opts),
+        ablation::beta(opts),
+        ablation::fcfs(opts),
+        ablation::gears(opts),
+        ablation::selection(opts),
+    ] {
+        println!("{}", a.render());
+        report_csv(a.write_csv(opts));
+    }
+}
+
+fn print_powercap(opts: &ExpOptions, cells: bool) {
+    let s = powercap::run(opts);
+    println!("{}", s.render_frontier());
+    if cells {
+        println!("{}", s.render_cells());
+    }
+    report_csv(s.write_csv(opts));
 }
 
 /// Writes `summary.json`: the calibration rows and the headline savings,
@@ -1405,7 +1175,7 @@ fn write_summary_json(opts: &ExpOptions, t: &table1::Table1, g: &grid::OriginalS
     }
 }
 
-fn report_csv(res: std::io::Result<Vec<PathBuf>>) {
+fn report_csv(res: std::io::Result<impl IntoIterator<Item = PathBuf>>) {
     match res {
         Ok(paths) => {
             for p in paths {

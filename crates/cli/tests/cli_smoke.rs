@@ -84,34 +84,170 @@ fn stray_positional_argument_is_an_error_outside_run() {
     );
 }
 
+/// A fresh, empty temporary directory for one test.
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("bsld_cli_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// FNV-1a 64 of a file's bytes.
+fn fnv1a64(path: &std::path::Path) -> u64 {
+    let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
 fn unknown_workload_lists_valid_names() {
-    let out = run(&["simulate", "--workload", "marsrover", "--jobs", "10"]);
+    let dir = fresh_dir("profile");
+    let scn = dir.join("one.scn");
+    std::fs::write(
+        &scn,
+        "workload = synthetic\nprofile = ctc\njobs = 10\nseed = 1\n",
+    )
+    .unwrap();
+    let out = run(&["run", scn.to_str().unwrap(), "--set", "profile=marsrover"]);
     assert!(!out.status.success());
     let err = stderr(&out);
     assert!(err.contains("unknown workload: marsrover"), "{err}");
     for name in ["ctc", "sdsc", "blue", "thunder", "atlas"] {
         assert!(err.contains(name), "error must list {name}: {err}");
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn simulate_runs_and_reports() {
+fn run_export_writes_each_cells_schedule_series_details_and_swf() {
+    let dir = fresh_dir("export");
+    let scn = dir.join("blue.scn");
+    std::fs::write(
+        &scn,
+        "workload = synthetic\nprofile = blue\njobs = 60\nseed = 7\n",
+    )
+    .unwrap();
+    let scn = scn.to_str().unwrap();
+    let export = dir.join("export");
+    let sets = ["--set", "bsld_th=2", "--set", "wq=no", "--no-csv"];
     let out = run(&[
-        "simulate",
-        "--workload",
-        "blue",
-        "--jobs",
-        "60",
-        "--bsld-th",
-        "2",
-        "--wq",
-        "no",
-    ]);
+        &["run", scn, "--export", export.to_str().unwrap()],
+        &sets[..],
+    ]
+    .concat());
     assert!(out.status.success(), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("SDSCBlue"), "{text}");
-    assert!(text.contains("avg BSLD"), "{text}");
+    // The run's stdout does not depend on --export.
+    let plain = run(&[&["run", scn], &sets[..]].concat());
+    assert_eq!(stdout(&out), stdout(&plain));
+    assert!(
+        stdout(&out).contains("scenario-th2-wqNO"),
+        "{}",
+        stdout(&out)
+    );
+
+    // The bytes `simulate --workload blue --jobs 60 --seed 7 --bsld-th 2
+    // --wq no --export P` and `generate --workload blue --jobs 60 --seed 7`
+    // wrote before `run --export` replaced them.
+    let file = |suffix: &str| export.join(format!("0-scenario-th2-wqNO{suffix}"));
+    for (suffix, len, hash) in [
+        (".swf", 3733, 0x714a_5ccc_dd5d_4434),
+        ("_schedule.csv", 2027, 0x45d5_ca0b_a2dc_0dc2),
+        ("_utilization.csv", 1039, 0xfa1b_5e9a_32eb_e911),
+        ("_queue.csv", 633, 0xcf1f_0829_6cb0_a65d),
+    ] {
+        let path = file(suffix);
+        let meta = std::fs::metadata(&path).unwrap();
+        assert_eq!((meta.len(), fnv1a64(&path)), (len, hash), "{suffix}");
+    }
+    let details = std::fs::read_to_string(file("_details.txt")).unwrap();
+    assert!(details.starts_with("avg BSLD 10.81 |"), "{details}");
+    assert!(details.contains("| makespan "), "{details}");
+    assert!(details.contains("energy: computational "), "{details}");
+    assert_eq!(std::fs::read_dir(&export).unwrap().count(), 5);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn run_export_names_every_sweep_cell_apart() {
+    let dir = fresh_dir("export_sweep");
+    let scn = dir.join("sweep.scn");
+    std::fs::write(
+        &scn,
+        "scenario = s\nworkload = synthetic\nprofile = blue\njobs = 30\nseed = 3\n\
+         scale_cpus = 64\n\
+         sweep.policy = bsld:2/NO bsld:2/0\n",
+    )
+    .unwrap();
+    let export = dir.join("export");
+    let scn = scn.to_str().unwrap();
+    let out = run(&["run", scn, "--no-csv", "--export", export.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let mut names: Vec<String> = std::fs::read_dir(&export)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names.len(), 10, "{names:?}");
+    assert!(
+        names.contains(&"0-s-bsld_2_NO.swf".to_string()),
+        "{names:?}"
+    );
+    assert!(
+        names.contains(&"1-s-bsld_2_0_details.txt".to_string()),
+        "{names:?}"
+    );
+
+    // A campaign runs many replications per cell: it refuses --export.
+    let campaign = dir.join("campaign.scn");
+    std::fs::write(
+        &campaign,
+        "workload = synthetic\nprofile = ctc\njobs = 10\nseed = 1\nreplications = 2\n",
+    )
+    .unwrap();
+    let out = run(&["run", campaign.to_str().unwrap(), "--export", "x"]);
+    assert!(!out.status.success());
+    assert!(
+        stderr(&out).contains("--export does not apply"),
+        "{}",
+        stderr(&out)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn flags_outside_their_subcommands_are_errors() {
+    // Each case is cheap and writes nothing should its flag be ignored.
+    let dir = fresh_dir("flags");
+    let swf = dir.join("x.swf");
+    let swf = swf.to_str().unwrap();
+    let quick = ["--jobs", "10", "--no-csv"];
+    for args in [
+        [&["table1"][..], &quick, &["--export", "d"]].concat(),
+        [&["fig6"][..], &quick, &["--set", "cap=0.8"]].concat(),
+        vec!["gen-swf", "--jobs", "10", "--swf", swf, "--out", "d"],
+        vec!["query", "status", "--jobs", "5"],
+    ] {
+        let out = run(&args);
+        assert!(!out.status.success(), "{args:?}");
+        let flag = args.iter().rev().find(|a| a.starts_with("--")).unwrap();
+        let want = format!("{flag} only applies to ");
+        assert!(stderr(&out).contains(&want), "{args:?}: {}", stderr(&out));
+    }
+    // `simulate`, `generate` and their flags are gone, not ignored.
+    for args in [
+        vec!["simulate", "--jobs", "10"],
+        vec!["generate", "--swf", swf],
+        [&["fig5"][..], &quick, &["--wq", "0"]].concat(),
+        [&["table1"][..], &quick, &["--workload", "sdsc"]].concat(),
+        [&["powercap"][..], &quick, &["--conservative"]].concat(),
+        [&["fig4"][..], &quick, &["--bsld-th", "2"]].concat(),
+        [&["fig3"][..], &quick, &["--boost", "4"]].concat(),
+    ] {
+        assert!(!run(&args).status.success(), "{args:?}");
+    }
+    assert!(!std::path::Path::new(swf).exists());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -488,5 +624,10 @@ fn serve_daemon_answers_query_byte_identical_to_run() {
         !std::path::Path::new(sock).exists(),
         "socket must be unlinked"
     );
+
+    // `run --set` goes through the same overrides as `query run --set`.
+    let direct = run(&["run", scn, "--no-csv", "--set", "cap=0.8"]);
+    assert!(direct.status.success(), "{}", stderr(&direct));
+    assert_eq!(stdout(&what_if), stdout(&direct), "--set bytes must match");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -162,12 +162,6 @@ impl ProcessorPool {
         self.free
     }
 
-    /// Currently busy processor count.
-    #[inline]
-    pub fn busy_count(&self) -> u32 {
-        self.total - self.free
-    }
-
     /// Whether processor `idx` is free.
     pub fn is_free(&self, idx: u32) -> bool {
         debug_assert!(idx < self.total);

@@ -516,12 +516,3 @@ fn discover_workers(dir: &Path) -> Result<Vec<(u32, PathBuf)>, ScenarioError> {
     workers.sort();
     Ok(workers)
 }
-
-/// Convenience: the worker manifest paths present in `dir` (for tooling
-/// and tests).
-pub fn worker_manifests(dir: &Path) -> Result<Vec<PathBuf>, ScenarioError> {
-    Ok(discover_workers(dir)?
-        .into_iter()
-        .map(|(_, path)| path)
-        .collect())
-}

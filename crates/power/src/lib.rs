@@ -42,9 +42,6 @@ pub use models::{Constant, Cubic, Empirical, Linear};
 pub use rail::{Rail, RailKind, RailSet};
 pub use time_model::BetaModel;
 
-/// The paper's default β (Section 4, after Freeh et al. measurements).
-pub const DEFAULT_BETA: f64 = 0.5;
-
 /// The paper's static share of total active CPU power at the top frequency.
 pub const DEFAULT_STATIC_FRACTION: f64 = 0.25;
 

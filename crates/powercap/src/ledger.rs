@@ -195,11 +195,6 @@ impl PowerLedger {
         &self.series
     }
 
-    /// Number of rails this ledger attributes draw to.
-    pub fn rail_count(&self) -> usize {
-        self.rails.len()
-    }
-
     /// Per-rail energy up to the last advanced instant. Wake impulses are
     /// charged to the CPU rail (waking hardware is a processor event).
     pub fn rail_energies(&self) -> Vec<RailEnergy> {

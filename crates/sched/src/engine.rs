@@ -294,15 +294,6 @@ pub struct SimResult {
     pub stats: PassStats,
 }
 
-impl SimResult {
-    /// Outcomes re-sorted by job id (arrival order).
-    pub fn outcomes_by_id(&self) -> Vec<&JobOutcome> {
-        let mut v: Vec<&JobOutcome> = self.outcomes.iter().collect();
-        v.sort_by_key(|o| o.id);
-        v
-    }
-}
-
 enum Event {
     Arrive(JobId),
     Finish(JobId, u32),
@@ -768,6 +759,9 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             h.on_job_finish(now, r.cpus, r.gear);
         }
         let job = &self.jobs[id.index()];
+        // Read before the last phase is pushed: with no earlier phase, the
+        // job ran at `r.gear` throughout.
+        let first_gear = r.phases.first().map_or(r.gear, |p| p.gear);
         let last_secs = self.now - r.phase_start;
         if last_secs > 0 || r.phases.is_empty() {
             r.phases.push(Phase {
@@ -775,8 +769,6 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
                 seconds: last_secs,
             });
         }
-        // audit:allow(R1): scheduler state invariant; the expect message states it, and the determinism suite exercises these paths
-        let first_gear = r.phases.first().expect("at least one phase").gear;
         let outcome = JobOutcome {
             id,
             cpus: job.cpus,
@@ -829,24 +821,21 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
         }
     }
 
-    /// Whether the cached committed profile may serve the current instant:
-    /// the cache is live, the cached reservation still lies in the future
-    /// (a reservation "now" — contiguous-selection fragmentation — must be
-    /// re-derived because it would drift as time advances), and no running
-    /// job's requested end has been reached (such a release would need to
-    /// be pushed to `now + 1`, which only a rebuild does).
-    fn cache_usable(&self) -> bool {
-        match &self.cache {
-            None => false,
-            Some(c) => {
-                c.start > self.now
-                    && self
-                        .end_index
-                        .keys()
-                        .next()
-                        .is_none_or(|&first| first > self.now)
-            }
-        }
+    /// The cached head reservation, if the committed profile may serve the
+    /// current instant: the cache is live, the reservation still lies in
+    /// the future (a reservation "now" — contiguous-selection fragmentation
+    /// — must be re-derived because it would drift as time advances), and
+    /// no running job's requested end has been reached (such a release
+    /// would need to be pushed to `now + 1`, which only a rebuild does).
+    fn cache_usable(&self) -> Option<HeadReservation> {
+        self.cache.filter(|c| {
+            c.start > self.now
+                && self
+                    .end_index
+                    .keys()
+                    .next()
+                    .is_none_or(|&first| first > self.now)
+        })
     }
 
     /// Rebuilds the availability profile from the sorted running-jobs
@@ -914,7 +903,7 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             });
             return;
         }
-        if !self.cache_usable() {
+        if self.cache_usable().is_none() {
             self.schedule_pass();
             return;
         }
@@ -1004,17 +993,18 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
         // exactly at its expected end needs a rebuild: its pending release
         // may sit floored at `now + 1` (same-instant rebuild) while the
         // freed processors belong in the present.
-        let in_place = self.elide
-            && self.cache_usable()
-            && completion.is_none_or(|(expected_end, _)| expected_end > self.now);
-        if in_place {
+        let cached = self.cache_usable().filter(|_| {
+            self.elide && completion.is_none_or(|(expected_end, _)| expected_end > self.now)
+        });
+        let in_place = cached.is_some();
+        // The reservation is re-derived below, in place or by a rebuild.
+        self.cache = None;
+        if let Some(c) = cached {
             // Drop fully-elapsed history so the profile stays proportional
             // to the number of running jobs, then release the stale
-            // reservation — it is re-derived below — and pull the completed
-            // job's pending release forward to the present.
+            // reservation and pull the completed job's pending release
+            // forward to the present.
             self.profile.advance_origin(self.now);
-            // audit:allow(R1): scheduler state invariant; the expect message states it, and the determinism suite exercises these paths
-            let c = self.cache.take().expect("cache_usable implies cache");
             self.profile
                 .release_over(c.start, c.end, self.jobs[c.head.index()].cpus)
                 // audit:allow(R1): scheduler state invariant; the expect message states it, and the determinism suite exercises these paths
@@ -1025,8 +1015,6 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
                     // audit:allow(R1): scheduler state invariant; the expect message states it, and the determinism suite exercises these paths
                     .expect("completed job's window lies within the profile");
             }
-        } else {
-            self.cache = None;
         }
 
         // Step 1: start head jobs that fit right now.
@@ -1281,28 +1269,23 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             } else {
                 None
             };
-            let can_start = match admitted {
+            let started_gear = match admitted {
                 Some(g) => {
                     let ok = self.try_start_job(id, g, earlier_still_waiting);
                     if !ok {
                         self.hook_declined();
                     }
-                    ok
+                    ok.then_some(g)
                 }
-                None => false,
+                None => None,
             };
-            let commit_gear = if can_start {
-                // audit:allow(R1): scheduler state invariant; the expect message states it, and the determinism suite exercises these paths
-                admitted.expect("start implies admission")
-            } else {
-                gear
-            };
+            let commit_gear = started_gear.unwrap_or(gear);
             let dur = self.time_model.dilate(job.requested, job.beta, commit_gear);
             self.profile
                 .commit(start, start.saturating_add(dur), job.cpus)
                 // audit:allow(R1): scheduler state invariant; the expect message states it, and the determinism suite exercises these paths
                 .expect("reserve_gear start came from earliest_fit");
-            if can_start {
+            if started_gear.is_some() {
                 started.push(id);
             } else {
                 earlier_still_waiting = true;

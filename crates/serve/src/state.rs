@@ -212,7 +212,6 @@ impl ServerState {
     /// names more than [`MAX_SWEEP_CELLS`] cells is refused before it
     /// expands.
     pub fn run_query(&self, scn: &str, ov: &Overrides) -> Result<RunReply, String> {
-        Stats::bump(&self.stats.runs, 1);
         let mut set = ScenarioSet::parse(scn).map_err(|e| e.to_string())?;
         ov.apply(&mut set)?;
         if set.replications > 1 {
@@ -239,6 +238,8 @@ impl ServerState {
                 ));
             }
         }
+        // Accepted: the spec parsed and fits the cap.
+        Stats::bump(&self.stats.runs, 1);
         let cells = set.expand().map_err(|e| e.to_string())?;
         let ids: Vec<CellId> = cells.iter().map(CellId::of).collect();
         let mut outcomes: Vec<Option<Result<CellOutcome, String>>> = {

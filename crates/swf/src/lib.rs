@@ -36,5 +36,5 @@ pub use convert::{records_to_jobs, records_to_jobs_with_abort, TraceAborted};
 pub use parse::{parse_swf, parse_swf_with_abort, ParseError, ParseErrorKind};
 pub use record::{SwfHeader, SwfRecord, SwfTrace};
 pub use stats::TraceStats;
-pub use stream::{clean_swf_stream, parse_swf_stream, SwfStream, SwfStreamError};
-pub use write::{generate_swf, write_swf, write_swf_to, GEN_SWF_DEFAULT_PROCS};
+pub use stream::{clean_swf_stream, SwfStream, SwfStreamError};
+pub use write::{generate_swf, write_swf, GEN_SWF_DEFAULT_PROCS};

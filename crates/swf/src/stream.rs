@@ -154,12 +154,6 @@ impl<R: BufRead> Iterator for SwfStream<'_, R> {
     }
 }
 
-/// Streams records from `reader` (convenience constructor mirroring
-/// [`crate::parse_swf`]).
-pub fn parse_swf_stream<R: BufRead>(reader: R) -> SwfStream<'static, R> {
-    SwfStream::<R>::new(reader)
-}
-
 /// Why a streamed parse-and-clean stopped early.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SwfStreamError {

@@ -51,34 +51,6 @@ fn push_data_line(out: &mut String, r: &SwfRecord) {
     out.push('\n');
 }
 
-/// Streams a trace as SWF text straight to an [`io::Write`] sink, without
-/// building the whole file in memory. Byte-identical to [`write_swf`].
-pub fn write_swf_to<W: io::Write>(w: &mut W, trace: &SwfTrace) -> io::Result<()> {
-    let mut line = String::new();
-    let h = &trace.header;
-    if let Some(v) = h.max_procs {
-        writeln!(w, "; MaxProcs: {v}")?;
-    }
-    if let Some(v) = h.max_runtime {
-        writeln!(w, "; MaxRuntime: {v}")?;
-    }
-    if let Some(v) = h.max_jobs {
-        writeln!(w, "; MaxJobs: {v}")?;
-    }
-    if let Some(v) = h.unix_start_time {
-        writeln!(w, "; UnixStartTime: {v}")?;
-    }
-    for extra in &h.extra {
-        writeln!(w, "; {extra}")?;
-    }
-    for r in &trace.records {
-        line.clear();
-        push_data_line(&mut line, r);
-        w.write_all(line.as_bytes())?;
-    }
-    Ok(())
-}
-
 /// The machine size [`generate_swf`] assumes when none is given: 1024
 /// processors, a mid-size machine by the archive's standards.
 pub const GEN_SWF_DEFAULT_PROCS: u32 = 1024;
@@ -189,21 +161,6 @@ mod tests {
             text.trim(),
             "1 2 -1 3 4 -1 -1 4 5 -1 1 -1 -1 -1 -1 -1 -1 -1"
         );
-    }
-
-    #[test]
-    fn write_swf_to_matches_write_swf() {
-        let trace = SwfTrace {
-            header: SwfHeader {
-                max_procs: Some(32),
-                extra: vec!["Computer: test".to_string()],
-                ..Default::default()
-            },
-            records: vec![SwfRecord::simple(1, 0, 100, 4, 200), SwfRecord::unknown()],
-        };
-        let mut bytes = Vec::new();
-        write_swf_to(&mut bytes, &trace).unwrap();
-        assert_eq!(String::from_utf8(bytes).unwrap(), write_swf(&trace));
     }
 
     #[test]

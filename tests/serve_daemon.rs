@@ -295,14 +295,26 @@ fn oversized_sweep_is_refused_before_any_cell_runs() {
     let status = client.status().unwrap();
     assert_eq!(count(&status, "cells_run"), Some(0));
 
-    // One cell past the cap is refused too; a sweep at the cap runs.
+    // One cell past the cap is refused too, and so is a spec that does
+    // not parse; neither counts as an accepted run.
     let over = one_job_grid(MAX_SWEEP_CELLS as u32 + 1, 1);
     let reply = client.run(&over, &Overrides::default()).unwrap();
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let reply = client
+        .run("workload = nonsense", &Overrides::default())
+        .unwrap();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let status = client.status().unwrap();
+    assert_eq!(count(&status, "runs"), Some(0));
+    assert_eq!(count(&status, "errors"), Some(3));
+
+    // A sweep at the cap runs.
     let at_cap = one_job_grid(MAX_SWEEP_CELLS as u32, 1);
     let reply = client.run(&at_cap, &Overrides::default()).unwrap();
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(count(&reply, "cells"), Some(MAX_SWEEP_CELLS as u64));
+    let status = client.status().unwrap();
+    assert_eq!(count(&status, "runs"), Some(1));
 
     client.shutdown().unwrap();
     handle.join().unwrap();
