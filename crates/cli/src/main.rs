@@ -38,12 +38,16 @@
 //! ```
 //!
 //! A scenario is described one way: a `.scn` file, plus `--set` for single
-//! keys. Every flag is one row of [`FLAGS`], which names the subcommands
-//! that read it; any other subcommand refuses it. The grid experiments
-//! (`fig3`/`fig4`/`fig5`/`all`) also read `--trace-out PATH`: write the
-//! deterministic simulation trace of every sweep cell as one Chrome-trace
-//! JSON file (Perfetto-loadable, byte-identical across re-runs regardless
-//! of `--threads`).
+//! keys. The experiments are no exception: each runs its study files under
+//! `paper/` (compiled in; `run paper/grid.scn` runs the Figs. 3–5 cells as
+//! they are), with `--jobs` and `--seed` set on their workload, and
+//! normalises each cell against its reference (see
+//! `bsld_core::experiments`). Every flag is one row of [`FLAGS`], which
+//! names the subcommands that read it; any other subcommand refuses it.
+//! The grid experiments (`fig3`/`fig4`/`fig5`/`all`) also read
+//! `--trace-out PATH`: write the deterministic simulation trace of every
+//! sweep cell as one Chrome-trace JSON file (Perfetto-loadable,
+//! byte-identical across re-runs regardless of `--threads`).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -51,7 +55,7 @@ use std::str::FromStr;
 
 use bsld_core::campaign::{run_campaign, CampaignOptions, JSON_FILE, RESULTS_FILE};
 use bsld_core::distrib::{merge_campaign, run_worker, worker_manifest_file, Shard};
-use bsld_core::experiments::{ablation, enlarged, fig6, grid, powercap, table1, ExpOptions};
+use bsld_core::experiments::{ablation, enlarged, fig6, grid, powercap, table1, ExpOptions, Study};
 use bsld_core::policy::WqThreshold;
 use bsld_core::scenario::{ScenarioError, ScenarioSet, WorkloadSpec};
 use bsld_core::{sweep_report, CellOutcome, RunResult, Scenario, ScenarioResult};
@@ -769,6 +773,11 @@ fn run_query(args: &Args) -> Result<(), String> {
     let op = args.operands.first().ok_or(
         "query needs an operation: query <run FILE.scn|status|metrics|cache [clear]|shutdown> --socket PATH",
     )?;
+    // Only `run FILE` and `cache clear` read a second operand.
+    let takes_none = matches!(op.as_str(), "status" | "metrics" | "shutdown");
+    if let Some(extra) = args.operands.get(1).filter(|_| takes_none) {
+        return Err(format!("query {op} takes no operand, got {extra:?}"));
+    }
     let mut client = bsld_serve::Client::connect(Path::new(socket))?;
     let reply = match op.as_str() {
         "run" => {
@@ -1054,9 +1063,9 @@ fn run_experiment(name: &str, opts: &ExpOptions) {
     }
 }
 
-fn print_table1(t: &table1::Table1, opts: &ExpOptions) {
-    println!("{}", t.render());
-    report_csv(t.write_csv(opts));
+fn print_table1(t: &Study, opts: &ExpOptions) {
+    println!("{}", table1::render(t));
+    report_csv(table1::write_csv(t, opts));
 }
 
 /// Prints the original-size grid as Figs. 3, 4 and 5, as `figs` names.
@@ -1083,36 +1092,30 @@ fn print_fig6(opts: &ExpOptions) {
 
 /// Prints the enlarged-systems study as Figs. 7, 8, 9 and Table 3, as
 /// `views` names.
-fn print_enlarged(s: &enlarged::EnlargedStudy, views: &[&str], opts: &ExpOptions) {
+fn print_enlarged(s: &Study, views: &[&str], opts: &ExpOptions) {
     for &view in views {
         match view {
-            "table3" => println!("{}", s.render_table3()),
+            "table3" => println!("{}", enlarged::render_table3(s)),
             "fig7" | "fig8" => {
                 let wq = if view == "fig7" {
                     WqThreshold::Limit(0)
                 } else {
                     WqThreshold::NoLimit
                 };
-                println!("{}", s.render_energy(wq, false));
-                println!("{}", s.render_energy(wq, true));
+                println!("{}", enlarged::render_energy(s, wq, false));
+                println!("{}", enlarged::render_energy(s, wq, true));
             }
             _ => {
-                println!("{}", s.render_bsld(WqThreshold::NoLimit));
-                println!("{}", s.render_bsld(WqThreshold::Limit(0)));
+                println!("{}", enlarged::render_bsld(s, WqThreshold::NoLimit));
+                println!("{}", enlarged::render_bsld(s, WqThreshold::Limit(0)));
             }
         }
     }
-    report_csv(s.write_csv(opts));
+    report_csv(enlarged::write_csv(s, opts));
 }
 
 fn print_ablations(opts: &ExpOptions) {
-    for a in [
-        ablation::boost(opts),
-        ablation::beta(opts),
-        ablation::fcfs(opts),
-        ablation::gears(opts),
-        ablation::selection(opts),
-    ] {
+    for a in ablation::all(opts) {
         println!("{}", a.render());
         report_csv(a.write_csv(opts));
     }
@@ -1120,31 +1123,31 @@ fn print_ablations(opts: &ExpOptions) {
 
 fn print_powercap(opts: &ExpOptions, cells: bool) {
     let s = powercap::run(opts);
-    println!("{}", s.render_frontier());
+    println!("{}", powercap::render_frontier(&s));
     if cells {
-        println!("{}", s.render_cells());
+        println!("{}", powercap::render_cells(&s));
     }
-    report_csv(s.write_csv(opts));
+    report_csv(powercap::write_csv(&s, opts));
 }
 
 /// Writes `summary.json`: the calibration rows and the headline savings,
 /// for dashboards and regression tracking.
-fn write_summary_json(opts: &ExpOptions, t: &table1::Table1, g: &grid::OriginalSizeGrid) {
+fn write_summary_json(opts: &ExpOptions, t: &Study, g: &grid::OriginalSizeGrid) {
     let Some(dir) = &opts.out_dir else {
         return;
     };
     let baselines = Json::Arr(
-        t.rows
-            .iter()
-            .map(|r| {
+        table1::rows(t)
+            .map(|(r, paper)| {
+                let m = r.metrics();
                 Json::obj(vec![
-                    ("workload", Json::str(&r.workload)),
-                    ("cpus", Json::from(r.cpus as u64)),
-                    ("avg_bsld", Json::from(r.avg_bsld)),
-                    ("paper_avg_bsld", Json::from(r.paper.avg_bsld)),
-                    ("avg_wait_s", Json::from(r.avg_wait)),
-                    ("paper_avg_wait_s", Json::from(r.paper.avg_wait)),
-                    ("utilization", Json::from(r.utilization)),
+                    ("workload", Json::str(r.workload())),
+                    ("cpus", Json::from(u64::from(paper.cpus))),
+                    ("avg_bsld", Json::from(m.avg_bsld)),
+                    ("paper_avg_bsld", Json::from(paper.avg_bsld)),
+                    ("avg_wait_s", Json::from(m.avg_wait_secs)),
+                    ("paper_avg_wait_s", Json::from(paper.avg_wait)),
+                    ("utilization", Json::from(m.utilization)),
                 ])
             })
             .collect(),

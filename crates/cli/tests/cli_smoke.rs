@@ -4,7 +4,7 @@
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_bsld-repro"))
@@ -98,6 +98,60 @@ fn fnv1a64(path: &std::path::Path) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+#[test]
+fn experiment_bytes_are_pinned() {
+    // The length and FNV-1a 64 of everything `all` and the traced `fig5`
+    // print and write at 60 jobs. Any change to a study's cells, its
+    // normalisation or its renderer moves one of these.
+    let dir = fresh_dir("pinned");
+    let out_dir = dir.join("out");
+    let trace = dir.join("fig5_trace.json");
+    let check = |path: &std::path::Path, len: u64, hash: u64| {
+        let meta = std::fs::metadata(path).unwrap();
+        let got = (meta.len(), fnv1a64(path));
+        assert_eq!(got, (len, hash), "{}", path.display());
+    };
+    for (args, stdout_len, stdout_hash) in [
+        (
+            vec!["all", "--jobs", "60", "--threads", "2", "--out"],
+            14055,
+            0x3b83_d8b5_012c_a671,
+        ),
+        (
+            vec!["fig5", "--jobs", "60", "--no-csv", "--trace-out"],
+            826,
+            0xc89a_bb0a_78f2_a5fa,
+        ),
+    ] {
+        let target = if args[0] == "all" { &out_dir } else { &trace };
+        let out = run(&[&args[..], &[target.to_str().unwrap()]].concat());
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        let printed = dir.join(format!("{}_stdout.txt", args[0]));
+        std::fs::write(&printed, &out.stdout).unwrap();
+        check(&printed, stdout_len, stdout_hash);
+    }
+    let files: [(&str, u64, u64); 12] = [
+        ("ablation_beta.csv", 276, 0xa7eb_e49f_d9f9_50d6),
+        ("ablation_boost.csv", 230, 0xba8b_1710_9b30_7a76),
+        ("ablation_fcfs.csv", 255, 0x6535_f685_ac46_f3a1),
+        ("ablation_gears.csv", 238, 0xd523_a3cf_0c73_05b8),
+        ("ablation_selection.csv", 282, 0x20eb_7397_5bc7_39d5),
+        ("fig3_fig4_fig5_grid.csv", 2903, 0x04dc_dead_ea30_8789),
+        ("fig6_wait_series.csv", 954, 0xe40b_0f0b_f003_ab60),
+        ("fig7_fig8_fig9_enlarged.csv", 3265, 0xe99e_03dd_0464_0127),
+        ("powercap_sweep.csv", 3438, 0xa166_7029_ee04_91bc),
+        ("summary.json", 1867, 0xf2d1_785c_d116_f89f),
+        ("table1.csv", 326, 0x547e_0878_bddf_cb2c),
+        ("table3_wait.csv", 245, 0x0489_be5a_f1d8_9318),
+    ];
+    assert_eq!(std::fs::read_dir(&out_dir).unwrap().count(), files.len());
+    for (name, len, hash) in files {
+        check(&out_dir.join(name), len, hash);
+    }
+    check(&trace, 2_126_079, 0x87aa_5d26_2e28_a42d);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -233,6 +287,14 @@ fn flags_outside_their_subcommands_are_errors() {
         let flag = args.iter().rev().find(|a| a.starts_with("--")).unwrap();
         let want = format!("{flag} only applies to ");
         assert!(stderr(&out).contains(&want), "{args:?}: {}", stderr(&out));
+    }
+    // Only `query run FILE` and `query cache clear` take a second operand;
+    // the others refuse one before connecting.
+    for op in ["status", "metrics", "shutdown"] {
+        let out = run(&["query", op, "junk", "--socket", "missing.sock"]);
+        assert!(!out.status.success(), "{op}");
+        let want = format!("query {op} takes no operand, got \"junk\"");
+        assert!(stderr(&out).contains(&want), "{op}: {}", stderr(&out));
     }
     // `simulate`, `generate` and their flags are gone, not ignored.
     for args in [
@@ -552,6 +614,16 @@ fn run_subcommand_rejects_bad_files() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A spawned daemon, killed and reaped on drop (a no-op once it exited).
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 #[test]
 fn serve_daemon_answers_query_byte_identical_to_run() {
     let dir = std::env::temp_dir().join(format!("bsld_cli_serve_{}", std::process::id()));
@@ -580,10 +652,15 @@ fn serve_daemon_answers_query_byte_identical_to_run() {
     let out = run(&["query", "--socket", sock, "status"]);
     assert!(!out.status.success());
 
-    let mut daemon = bin()
-        .args(["serve", "--socket", sock, "--workers", "2"])
-        .spawn()
-        .expect("daemon must spawn");
+    // The guard kills and reaps the daemon should an assertion fail before
+    // its shutdown; it never holds the test's stdout.
+    let mut daemon = Daemon(
+        bin()
+            .args(["serve", "--socket", sock, "--workers", "2"])
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("daemon must spawn"),
+    );
     // Wait for the socket to appear.
     for _ in 0..200 {
         if std::path::Path::new(sock).exists() {
@@ -618,7 +695,7 @@ fn serve_daemon_answers_query_byte_identical_to_run() {
     // Graceful drain: shutdown op, daemon exits 0, socket unlinked.
     let out = run(&["query", "--socket", sock, "shutdown"]);
     assert!(out.status.success(), "{}", stderr(&out));
-    let code = daemon.wait().expect("daemon must exit");
+    let code = daemon.0.wait().expect("daemon must exit");
     assert!(code.success(), "daemon exit: {code:?}");
     assert!(
         !std::path::Path::new(sock).exists(),

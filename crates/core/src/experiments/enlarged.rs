@@ -3,238 +3,179 @@
 //! The paper's Section 5.2 reruns the same workloads on machines enlarged
 //! by 10–125 % under the power-aware scheduler (`BSLD_threshold = 2`,
 //! `WQ_threshold ∈ {0, NO}`) and asks whether more DVFS processors can cut
-//! energy *and* improve performance. One sweep supplies:
+//! energy *and* improve performance. One study, `paper/enlarged.scn`,
+//! supplies:
 //!
 //! * **Figure 7** — normalized energy vs. size, `WQ = 0` (both scenarios);
 //! * **Figure 8** — the same for `WQ = NO LIMIT`;
 //! * **Figure 9** — average BSLD vs. size for both `WQ` settings;
 //! * **Table 3** — average wait times for the five configurations.
 //!
-//! Energies are normalized against the **original-size no-DVFS** run; the
-//! idle-aware scenario charges idle power for the *enlarged* machine, which
-//! is what creates the paper's energy minimum at moderate enlargement.
+//! Energies are normalized against the **original-size no-DVFS** run (each
+//! cell's reference); the idle-aware scenario charges idle power for the
+//! *enlarged* machine, which is what creates the paper's energy minimum at
+//! moderate enlargement.
 
-use bsld_metrics::{RunMetrics, TextTable};
+use bsld_metrics::TextTable;
 
-use super::{cell_scenario, expect_run, fmt, write_artifact, ExpOptions};
-use crate::policy::{PowerAwareConfig, WqThreshold};
-use crate::scenario::{self, ProfileName};
+use super::{fmt, write_artifact, ExpOptions, Row, Study};
+use crate::policy::WqThreshold;
 
-/// The paper's system-size increases, percent.
-pub const SIZE_INCREASES: [u32; 7] = [0, 10, 20, 50, 75, 100, 125];
+/// The study: `paper/enlarged.scn`.
+const FILE: &str = include_str!("../../../../paper/enlarged.scn");
 
-/// The two `WQ_threshold` settings of the enlarged study.
-pub const WQ_SETTINGS: [WqThreshold; 2] = [WqThreshold::Limit(0), WqThreshold::NoLimit];
-
-/// One enlarged-system cell.
-#[derive(Debug, Clone)]
-pub struct EnlargedCell {
-    /// Workload name.
-    pub workload: String,
-    /// System size increase, percent.
-    pub size_pct: u32,
-    /// `WQ_threshold` used (BSLD threshold is fixed at 2).
-    pub wq: WqThreshold,
-    /// Computational energy normalized to original-size no-DVFS.
-    pub norm_e_comp: f64,
-    /// Idle-aware energy normalized to original-size no-DVFS.
-    pub norm_e_idle: f64,
-    /// Average BSLD.
-    pub avg_bsld: f64,
-    /// Average wait, seconds.
-    pub avg_wait: f64,
-    /// Jobs run at reduced frequency.
-    pub reduced_jobs: usize,
+/// Runs the study: per workload, its original-size baseline (the
+/// reference) and 7 sizes × 2 WQ settings.
+pub fn run(opts: &ExpOptions) -> Study {
+    Study::run(&[FILE], opts, None)
 }
 
-/// The full enlarged-systems sweep.
-#[derive(Debug, Clone)]
-pub struct EnlargedStudy {
-    /// All cells (workload-major, then size, then WQ setting).
-    pub cells: Vec<EnlargedCell>,
-    /// `(workload, original-size baseline)` — the normalization reference.
-    pub baselines: Vec<(String, RunMetrics)>,
+/// The cell of `workload` enlarged by `size_pct` under `wq`.
+pub fn cell<'a>(s: &'a Study, workload: &str, size_pct: u32, wq: WqThreshold) -> Option<Row<'a>> {
+    s.rows().find(|r| {
+        !r.is_reference()
+            && r.workload() == workload
+            && r.cell.cluster.enlarge_pct == size_pct
+            && r.config().map(|c| c.wq_threshold) == Some(wq)
+    })
 }
 
-/// Runs the sweep: per workload, 1 baseline + 7 sizes × 2 WQ settings,
-/// every cell a declarative [`scenario::Scenario`].
-pub fn run(opts: &ExpOptions) -> EnlargedStudy {
-    let mut tasks: Vec<(ProfileName, u32, Option<WqThreshold>)> = Vec::new();
-    for p in ProfileName::ALL {
-        tasks.push((p, 0, None)); // original size, no DVFS
-        for &size in &SIZE_INCREASES {
-            for &wq in &WQ_SETTINGS {
-                tasks.push((p, size, Some(wq)));
-            }
+/// The original-size baselines, paper order.
+fn baselines(s: &Study) -> impl Iterator<Item = Row<'_>> {
+    s.rows().filter(Row::is_reference)
+}
+
+/// The swept size increases, in study order.
+fn sizes(s: &Study) -> Vec<u32> {
+    let mut sizes = Vec::new();
+    for r in s.rows().filter(|r| !r.is_reference()) {
+        if !sizes.contains(&r.cell.cluster.enlarge_pct) {
+            sizes.push(r.cell.cluster.enlarge_pct);
         }
     }
-    let scenarios: Vec<scenario::Scenario> = tasks
-        .iter()
-        .map(|(p, size, wq)| {
-            let cfg = wq.map(|wq| PowerAwareConfig {
-                bsld_threshold: 2.0,
-                wq_threshold: wq,
+    sizes
+}
+
+/// A field of the cell at `(size, wq)` of `base`'s workload.
+fn at(s: &Study, base: &Row, size: u32, wq: WqThreshold, f: impl Fn(&Row) -> f64) -> f64 {
+    // audit:allow(R1): the study file sweeps every (size, wq) cell its tables show
+    f(&cell(s, base.workload(), size, wq).expect("complete sweep"))
+}
+
+/// Figures 7/8: energy vs. size for one WQ setting and one scenario.
+pub fn render_energy(s: &Study, wq: WqThreshold, idle_low: bool) -> String {
+    let fig = if wq == WqThreshold::Limit(0) {
+        "Figure 7"
+    } else {
+        "Figure 8"
+    };
+    let scen = if idle_low { "idle=low" } else { "idle=0" };
+    let sizes = sizes(s);
+    let mut headers = vec!["Workload".to_string()];
+    headers.extend(sizes.iter().map(|s| format!("+{s}%")));
+    let mut t = TextTable::new(headers);
+    for base in baselines(s) {
+        let mut row = vec![base.workload().to_string()];
+        for &size in &sizes {
+            let e = at(s, &base, size, wq, |c| {
+                if idle_low {
+                    c.norm_e_idle()
+                } else {
+                    c.norm_e_comp()
+                }
             });
-            cell_scenario(*p, opts, *size, cfg.as_ref())
+            row.push(fmt(e * 100.0, 1));
+        }
+        t.row(row);
+    }
+    format!(
+        "{fig}: normalized energy (%) of enlarged systems, WQ = {}, {scen}\n{}",
+        wq.label(),
+        t.render()
+    )
+}
+
+/// Figure 9: average BSLD vs. size for one WQ setting.
+pub fn render_bsld(s: &Study, wq: WqThreshold) -> String {
+    let sizes = sizes(s);
+    let mut headers = vec!["Workload".to_string(), "base".to_string()];
+    headers.extend(sizes.iter().map(|s| format!("+{s}%")));
+    let mut t = TextTable::new(headers);
+    for base in baselines(s) {
+        let mut row = vec![base.workload().to_string(), fmt(base.metrics().avg_bsld, 2)];
+        for &size in &sizes {
+            row.push(fmt(at(s, &base, size, wq, |c| c.metrics().avg_bsld), 2));
+        }
+        t.row(row);
+    }
+    format!(
+        "Figure 9: average BSLD of enlarged systems, WQ = {}\n{}",
+        wq.label(),
+        t.render()
+    )
+}
+
+/// Table 3's row for `base`: the baseline wait, then the waits at the
+/// original size and at +50 %, each under WQ 0 and NO, with `digits`.
+fn table3_row(s: &Study, base: &Row, digits: usize) -> Vec<String> {
+    let wait = |size, wq| at(s, base, size, wq, |c| c.metrics().avg_wait_secs);
+    let mut row = vec![
+        base.workload().to_string(),
+        fmt(base.metrics().avg_wait_secs, digits),
+    ];
+    for size in [0, 50] {
+        for wq in [WqThreshold::Limit(0), WqThreshold::NoLimit] {
+            row.push(fmt(wait(size, wq), digits));
+        }
+    }
+    row
+}
+
+/// Table 3: average wait for the paper's five configurations.
+pub fn render_table3(s: &Study) -> String {
+    let mut t = TextTable::new(vec![
+        "Workload",
+        "OrigNoDVFS",
+        "OrigWQ0",
+        "OrigWQNo",
+        "+50%WQ0",
+        "+50%WQNo",
+    ]);
+    for base in baselines(s) {
+        t.row(table3_row(s, &base, 0));
+    }
+    format!(
+        "Table 3: average wait time (s), BSLDthreshold = 2\n{}",
+        t.render()
+    )
+}
+
+/// Writes `fig7_fig8_fig9_enlarged.csv` and `table3_wait.csv`.
+pub fn write_csv(s: &Study, opts: &ExpOptions) -> std::io::Result<Vec<std::path::PathBuf>> {
+    let rows: Vec<Vec<String>> = s
+        .rows()
+        .filter(|r| !r.is_reference())
+        .map(|c| {
+            let m = c.metrics();
+            let wq = c
+                .config()
+                .map_or_else(String::new, |cfg| cfg.wq_threshold.label());
+            vec![
+                c.workload().to_string(),
+                c.cell.cluster.enlarge_pct.to_string(),
+                wq,
+                fmt(c.norm_e_comp(), 5),
+                fmt(c.norm_e_idle(), 5),
+                fmt(m.avg_bsld, 4),
+                fmt(m.avg_wait_secs, 1),
+                m.reduced_jobs.to_string(),
+            ]
         })
         .collect();
-    let results = scenario::run_many(&scenarios, opts.threads);
-
-    let mut baselines: Vec<(String, RunMetrics)> = Vec::new();
-    let mut cells = Vec::new();
-    for ((p, size, wq), res) in tasks.into_iter().zip(results) {
-        let m = expect_run(res).run.metrics;
-        let name = p.display_name().to_string();
-        match wq {
-            None => baselines.push((name, m)),
-            Some(wq) => {
-                let base = &baselines
-                    .iter()
-                    .find(|(n, _)| *n == name)
-                    // audit:allow(R1): scenario list interleaves each baseline before its cells
-                    .expect("baseline first")
-                    .1;
-                cells.push(EnlargedCell {
-                    workload: name,
-                    size_pct: size,
-                    wq,
-                    norm_e_comp: m.energy.normalized_computational(&base.energy),
-                    norm_e_idle: m.energy.normalized_with_idle(&base.energy),
-                    avg_bsld: m.avg_bsld,
-                    avg_wait: m.avg_wait_secs,
-                    reduced_jobs: m.reduced_jobs,
-                });
-            }
-        }
-    }
-    EnlargedStudy { cells, baselines }
-}
-
-impl EnlargedStudy {
-    /// The cell for an exact combination.
-    pub fn cell(&self, workload: &str, size_pct: u32, wq: WqThreshold) -> Option<&EnlargedCell> {
-        self.cells
-            .iter()
-            .find(|c| c.workload == workload && c.size_pct == size_pct && c.wq == wq)
-    }
-
-    /// The baseline metrics of a workload.
-    pub fn baseline(&self, workload: &str) -> Option<&RunMetrics> {
-        self.baselines
-            .iter()
-            .find(|(n, _)| n == workload)
-            .map(|(_, m)| m)
-    }
-
-    /// Figures 7/8: energy vs. size for one WQ setting and one scenario.
-    pub fn render_energy(&self, wq: WqThreshold, idle_low: bool) -> String {
-        let fig = if wq == WqThreshold::Limit(0) {
-            "Figure 7"
-        } else {
-            "Figure 8"
-        };
-        let scen = if idle_low { "idle=low" } else { "idle=0" };
-        let mut headers = vec!["Workload".to_string()];
-        headers.extend(SIZE_INCREASES.iter().map(|s| format!("+{s}%")));
-        let mut t = TextTable::new(headers);
-        for (name, _) in &self.baselines {
-            let mut row = vec![name.clone()];
-            for &size in &SIZE_INCREASES {
-                // audit:allow(R1): the sweep above produced every (size, wq) cell
-                let c = self.cell(name, size, wq).expect("complete sweep");
-                row.push(fmt(
-                    if idle_low {
-                        c.norm_e_idle
-                    } else {
-                        c.norm_e_comp
-                    } * 100.0,
-                    1,
-                ));
-            }
-            t.row(row);
-        }
-        format!(
-            "{fig}: normalized energy (%) of enlarged systems, WQ = {}, {scen}\n{}",
-            wq.label(),
-            t.render()
-        )
-    }
-
-    /// Figure 9: average BSLD vs. size for one WQ setting.
-    pub fn render_bsld(&self, wq: WqThreshold) -> String {
-        let mut headers = vec!["Workload".to_string(), "base".to_string()];
-        headers.extend(SIZE_INCREASES.iter().map(|s| format!("+{s}%")));
-        let mut t = TextTable::new(headers);
-        for (name, base) in &self.baselines {
-            let mut row = vec![name.clone(), fmt(base.avg_bsld, 2)];
-            for &size in &SIZE_INCREASES {
-                // audit:allow(R1): the sweep above produced every (size, wq) cell
-                let c = self.cell(name, size, wq).expect("complete sweep");
-                row.push(fmt(c.avg_bsld, 2));
-            }
-            t.row(row);
-        }
-        format!(
-            "Figure 9: average BSLD of enlarged systems, WQ = {}\n{}",
-            wq.label(),
-            t.render()
-        )
-    }
-
-    /// Table 3: average wait for the paper's five configurations.
-    pub fn render_table3(&self) -> String {
-        let mut t = TextTable::new(vec![
-            "Workload",
-            "OrigNoDVFS",
-            "OrigWQ0",
-            "OrigWQNo",
-            "+50%WQ0",
-            "+50%WQNo",
-        ]);
-        for (name, base) in &self.baselines {
-            let g = |size: u32, wq: WqThreshold| {
-                fmt(
-                    // audit:allow(R1): the sweep above produced every (size, wq) cell
-                    self.cell(name, size, wq).expect("complete sweep").avg_wait,
-                    0,
-                )
-            };
-            t.row(vec![
-                name.clone(),
-                fmt(base.avg_wait_secs, 0),
-                g(0, WqThreshold::Limit(0)),
-                g(0, WqThreshold::NoLimit),
-                g(50, WqThreshold::Limit(0)),
-                g(50, WqThreshold::NoLimit),
-            ]);
-        }
-        format!(
-            "Table 3: average wait time (s), BSLDthreshold = 2\n{}",
-            t.render()
-        )
-    }
-
-    /// Writes `fig7_fig8_fig9_enlarged.csv` and `table3_wait.csv`.
-    pub fn write_csv(&self, opts: &ExpOptions) -> std::io::Result<Vec<std::path::PathBuf>> {
-        let mut written = Vec::new();
-        let rows: Vec<Vec<String>> = self
-            .cells
-            .iter()
-            .map(|c| {
-                vec![
-                    c.workload.clone(),
-                    c.size_pct.to_string(),
-                    c.wq.label(),
-                    fmt(c.norm_e_comp, 5),
-                    fmt(c.norm_e_idle, 5),
-                    fmt(c.avg_bsld, 4),
-                    fmt(c.avg_wait, 1),
-                    c.reduced_jobs.to_string(),
-                ]
-            })
-            .collect();
-        if let Some(p) = write_artifact(
-            opts,
+    let t3: Vec<Vec<String>> = baselines(s).map(|b| table3_row(s, &b, 1)).collect();
+    let mut written = Vec::new();
+    for (name, headers, rows) in [
+        (
             "fig7_fig8_fig9_enlarged",
             &[
                 "workload",
@@ -245,34 +186,10 @@ impl EnlargedStudy {
                 "avg_bsld",
                 "avg_wait_s",
                 "reduced_jobs",
-            ],
-            &rows,
-        )? {
-            written.push(p);
-        }
-        let t3: Vec<Vec<String>> = self
-            .baselines
-            .iter()
-            .map(|(name, base)| {
-                let g = |size: u32, wq: WqThreshold| {
-                    fmt(
-                        // audit:allow(R1): the sweep above produced every (size, wq) cell
-                        self.cell(name, size, wq).expect("complete sweep").avg_wait,
-                        1,
-                    )
-                };
-                vec![
-                    name.clone(),
-                    fmt(base.avg_wait_secs, 1),
-                    g(0, WqThreshold::Limit(0)),
-                    g(0, WqThreshold::NoLimit),
-                    g(50, WqThreshold::Limit(0)),
-                    g(50, WqThreshold::NoLimit),
-                ]
-            })
-            .collect();
-        if let Some(p) = write_artifact(
-            opts,
+            ][..],
+            rows,
+        ),
+        (
             "table3_wait",
             &[
                 "workload",
@@ -281,53 +198,36 @@ impl EnlargedStudy {
                 "orig_wqno",
                 "inc50_wq0",
                 "inc50_wqno",
-            ],
-            &t3,
-        )? {
+            ][..],
+            t3,
+        ),
+    ] {
+        if let Some(p) = write_artifact(opts, name, headers, &rows)? {
             written.push(p);
         }
-        Ok(written)
     }
+    Ok(written)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn small() -> EnlargedStudy {
-        run(&ExpOptions::quick(40))
-    }
-
     #[test]
-    fn sweep_is_complete() {
-        let s = small();
-        assert_eq!(s.baselines.len(), 5);
-        assert_eq!(s.cells.len(), 5 * SIZE_INCREASES.len() * 2);
-        assert!(s.cell("CTC", 125, WqThreshold::NoLimit).is_some());
-        assert!(s.baseline("SDSC").is_some());
-    }
-
-    #[test]
-    fn larger_systems_wait_less() {
-        let s = small();
-        for (name, _) in &s.baselines {
-            let w0 = s.cell(name, 0, WqThreshold::NoLimit).unwrap().avg_wait;
-            let w125 = s.cell(name, 125, WqThreshold::NoLimit).unwrap().avg_wait;
-            assert!(w125 <= w0, "{name}: {w125} > {w0}");
-        }
-    }
-
-    #[test]
-    fn renders_do_not_panic() {
-        let s = small();
+    fn sweep_is_complete_and_renders() {
+        let s = run(&ExpOptions::quick(40));
+        assert_eq!(baselines(&s).count(), 5);
+        assert_eq!(s.rows().count(), 5 + 5 * 7 * 2);
+        assert_eq!(sizes(&s), [0, 10, 20, 50, 75, 100, 125]);
+        assert!(cell(&s, "CTC", 125, WqThreshold::NoLimit).is_some());
         for text in [
-            s.render_energy(WqThreshold::Limit(0), false),
-            s.render_energy(WqThreshold::Limit(0), true),
-            s.render_energy(WqThreshold::NoLimit, false),
-            s.render_energy(WqThreshold::NoLimit, true),
-            s.render_bsld(WqThreshold::Limit(0)),
-            s.render_bsld(WqThreshold::NoLimit),
-            s.render_table3(),
+            render_energy(&s, WqThreshold::Limit(0), false),
+            render_energy(&s, WqThreshold::Limit(0), true),
+            render_energy(&s, WqThreshold::NoLimit, false),
+            render_energy(&s, WqThreshold::NoLimit, true),
+            render_bsld(&s, WqThreshold::Limit(0)),
+            render_bsld(&s, WqThreshold::NoLimit),
+            render_table3(&s),
         ] {
             assert!(text.contains("CTC"), "{text}");
         }

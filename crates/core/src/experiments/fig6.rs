@@ -9,9 +9,10 @@
 use bsld_metrics::series::wait_series;
 use bsld_metrics::TextTable;
 
-use super::{cell_scenario, expect_run, fmt, write_artifact, ExpOptions};
-use crate::policy::{PowerAwareConfig, WqThreshold};
-use crate::scenario::{self, ProfileName};
+use super::{fmt, write_artifact, ExpOptions, Study};
+
+/// The study: `paper/fig6.scn`.
+const FILE: &str = include_str!("../../../../paper/fig6.scn");
 
 /// The two aligned wait series.
 #[derive(Debug, Clone)]
@@ -22,30 +23,14 @@ pub struct Fig6 {
     pub dvfs: Vec<(u64, u64)>,
 }
 
-/// Runs both SDSC-Blue simulations as declarative scenarios.
+/// Runs both SDSC-Blue cells of the study: the baseline, then the policy.
 pub fn run(opts: &ExpOptions) -> Fig6 {
-    let cfg = PowerAwareConfig {
-        bsld_threshold: 2.0,
-        wq_threshold: WqThreshold::Limit(16),
-    };
-    let scenarios = vec![
-        cell_scenario(ProfileName::SdscBlue, opts, 0, None),
-        cell_scenario(ProfileName::SdscBlue, opts, 0, Some(&cfg)),
-    ];
-    let mut it = scenario::run_many(&scenarios, opts.threads).into_iter();
-    let orig = wait_series(
-        // audit:allow(R1): run_many returns exactly one result per scenario; two scenarios above
-        &expect_run(it.next().expect("two scenarios submitted"))
-            .run
-            .outcomes,
-    );
-    let dvfs = wait_series(
-        // audit:allow(R1): same invariant as the line above
-        &expect_run(it.next().expect("two scenarios submitted"))
-            .run
-            .outcomes,
-    );
-    Fig6 { orig, dvfs }
+    let study = Study::run(&[FILE], opts, None);
+    let mut series = study.rows().map(|r| wait_series(&r.result.run.outcomes));
+    Fig6 {
+        orig: series.next().unwrap_or_default(),
+        dvfs: series.next().unwrap_or_default(),
+    }
 }
 
 impl Fig6 {
@@ -112,28 +97,5 @@ impl Fig6 {
             &["job_index", "arrival_s", "wait_orig_s", "wait_dvfs_2_16_s"],
             &rows,
         )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn series_align_and_dvfs_waits_more() {
-        let f = run(&ExpOptions::quick(400));
-        assert_eq!(f.orig.len(), 400);
-        assert_eq!(f.dvfs.len(), 400);
-        // Arrivals identical (same workload).
-        for (a, b) in f.orig.iter().zip(&f.dvfs) {
-            assert_eq!(a.0, b.0);
-        }
-        let (mo, md) = f.mean_waits();
-        assert!(
-            md >= mo,
-            "frequency scaling must not decrease mean wait: {md} vs {mo}"
-        );
-        let text = f.render();
-        assert!(text.contains("SDSCBlue"));
     }
 }

@@ -1,9 +1,9 @@
 //! Figures 3, 4 and 5 — the original-system-size parameter grid.
 //!
-//! One sweep drives all three figures: for every workload and every
-//! combination of `BSLD_threshold ∈ {1.5, 2, 3}` and `WQ_threshold ∈
-//! {0, 4, 16, NO}`, run the power-aware scheduler and compare against the
-//! workload's no-DVFS baseline.
+//! One study, `paper/grid.scn`, drives all three figures: for every
+//! workload and every combination of `BSLD_threshold ∈ {1.5, 2, 3}` and
+//! `WQ_threshold ∈ {0, 4, 16, NO}`, run the power-aware scheduler and
+//! compare against the workload's no-DVFS baseline.
 //!
 //! * **Figure 3** — normalized CPU energy, in both idle scenarios;
 //! * **Figure 4** — number of jobs run at reduced frequency;
@@ -11,9 +11,12 @@
 
 use bsld_metrics::{RunMetrics, TextTable};
 
-use super::{cell_scenario, expect_run, fmt, write_artifact, ExpOptions};
+use super::{fmt, write_artifact, ExpOptions, Study};
 use crate::policy::{PowerAwareConfig, WqThreshold};
-use crate::scenario::{self, ProfileName};
+use crate::scenario::{PolicySpec, Scenario, WorkloadSpec};
+
+/// The study: `paper/grid.scn`.
+const FILE: &str = include_str!("../../../../paper/grid.scn");
 
 /// The paper's `BSLD_threshold` values.
 pub const BSLD_THRESHOLDS: [f64; 3] = [1.5, 2.0, 3.0];
@@ -56,86 +59,46 @@ pub struct OriginalSizeGrid {
     pub baselines: Vec<(String, RunMetrics)>,
 }
 
-/// Runs the full grid: 5 workloads × (1 baseline + 12 policy cells), every
-/// cell a declarative [`scenario::Scenario`] run through `bsld-par`.
+/// Runs the grid study: 5 workloads × (1 baseline + 12 policy cells), each
+/// baseline the reference of its workload's cells.
 pub fn run(opts: &ExpOptions) -> OriginalSizeGrid {
-    // Task list: (profile, Option<cfg>) — baseline first per workload.
-    let mut tasks: Vec<(ProfileName, Option<PowerAwareConfig>)> = Vec::new();
-    for p in ProfileName::ALL {
-        tasks.push((p, None));
-        for &bt in &BSLD_THRESHOLDS {
-            for &wq in &WQ_THRESHOLDS {
-                tasks.push((
-                    p,
-                    Some(PowerAwareConfig {
-                        bsld_threshold: bt,
-                        wq_threshold: wq,
-                    }),
-                ));
-            }
-        }
-    }
-    let scenarios: Vec<scenario::Scenario> = tasks
-        .iter()
-        .map(|(p, cfg)| cell_scenario(*p, opts, 0, cfg.as_ref()))
-        .collect();
-    let results = match &opts.trace_out {
-        None => scenario::run_many(&scenarios, opts.threads),
-        Some(path) => {
-            // One buffer per cell, concatenated in expansion order: the
-            // trace file is a pure function of the sweep, independent of
-            // `opts.threads`.
-            let (results, events) = scenario::run_many_traced(&scenarios, opts.threads);
-            let cells: Vec<(String, Vec<bsld_obs::TraceEvent>)> = tasks
-                .iter()
-                .map(|(p, cfg)| match cfg {
-                    None => format!("{}-baseline", p.key()),
-                    Some(c) => format!("{} {}", p.key(), c.label()),
-                })
-                .zip(events)
-                .collect();
-            if let Err(e) = bsld_obs::write_chrome_trace(path, &cells) {
-                eprintln!("warning: cannot write trace {}: {e}", path.display());
-            }
-            results
-        }
+    let study = Study::run(&[FILE], opts, Some(trace_name));
+    let mut g = OriginalSizeGrid {
+        cells: Vec::new(),
+        baselines: Vec::new(),
     };
-
-    let mut baselines: Vec<(String, RunMetrics)> = Vec::new();
-    let mut cells = Vec::new();
-    for ((p, cfg), res) in tasks.into_iter().zip(results) {
-        let m = expect_run(res).run.metrics;
-        let name = p.display_name();
-        match cfg {
-            None => baselines.push((name.to_string(), m)),
-            Some(cfg) => {
-                let base = &baselines
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    // audit:allow(R1): scenario list interleaves each baseline before its cells
-                    .expect("baseline precedes cells")
-                    .1;
-                cells.push(GridCell {
-                    workload: name.to_string(),
-                    cfg,
-                    norm_e_comp: m.energy.normalized_computational(&base.energy),
-                    norm_e_idle: m.energy.normalized_with_idle(&base.energy),
-                    reduced_jobs: m.reduced_jobs,
-                    avg_bsld: m.avg_bsld,
-                    avg_wait: m.avg_wait_secs,
-                });
-            }
+    for row in study.rows() {
+        let workload = row.workload().to_string();
+        let m = row.metrics();
+        match row.config() {
+            None => g.baselines.push((workload, m.clone())),
+            Some(cfg) => g.cells.push(GridCell {
+                workload,
+                cfg,
+                norm_e_comp: row.norm_e_comp(),
+                norm_e_idle: row.norm_e_idle(),
+                reduced_jobs: m.reduced_jobs,
+                avg_bsld: m.avg_bsld,
+                avg_wait: m.avg_wait_secs,
+            }),
         }
     }
-    OriginalSizeGrid { cells, baselines }
+    g
+}
+
+/// A run's name in the `--trace-out` file: `ctc-baseline`, `ctc 2/NO`.
+fn trace_name(sc: &Scenario) -> String {
+    let profile = match sc.workload {
+        WorkloadSpec::Synthetic { profile, .. } => profile.key(),
+        WorkloadSpec::Swf { .. } => "swf",
+    };
+    match sc.policy {
+        PolicySpec::BsldThreshold { th, wq } => format!("{profile} {th}/{wq}"),
+        _ => format!("{profile}-baseline"),
+    }
 }
 
 impl OriginalSizeGrid {
-    /// Cells of one workload, figure order.
-    pub fn workload(&self, name: &str) -> Vec<&GridCell> {
-        self.cells.iter().filter(|c| c.workload == name).collect()
-    }
-
     /// The cell for an exact parameter combination.
     // The thresholds compared are sweep-axis literals copied verbatim into
     // the cells, so exact equality is the correct lookup key.
@@ -289,17 +252,9 @@ impl OriginalSizeGrid {
 mod tests {
     use super::*;
 
-    /// A scaled-down grid over two small workloads to keep tests quick.
-    fn small_grid() -> OriginalSizeGrid {
-        // Reuse the real runner but on scaled profiles by temporarily
-        // constructing a custom profile set is invasive; instead run the
-        // real five at tiny job counts.
-        run(&ExpOptions::quick(40))
-    }
-
     #[test]
-    fn grid_is_complete() {
-        let g = small_grid();
+    fn small_grid_is_complete_plausible_and_renders() {
+        let g = run(&ExpOptions::quick(40));
         assert_eq!(g.baselines.len(), 5);
         assert_eq!(g.cells.len(), 5 * 12);
         for (name, _) in &g.baselines {
@@ -309,24 +264,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn renders_do_not_panic() {
-        let g = small_grid();
-        for s in [
-            g.render_fig3(false),
-            g.render_fig3(true),
-            g.render_fig4(),
-            g.render_fig5(),
-        ] {
-            assert!(s.contains("CTC"));
-        }
-    }
-
-    #[test]
-    fn normalized_energy_is_positive() {
-        let g = small_grid();
         for c in &g.cells {
             assert!(c.norm_e_comp > 0.0 && c.norm_e_comp < 1.5, "{c:?}");
             // Idle-aware energy can exceed the baseline by a wide margin at
@@ -334,20 +271,16 @@ mod tests {
             // idle term dominates 40-job runs on a lightly loaded machine.
             assert!(c.norm_e_idle > 0.0 && c.norm_e_idle < 3.0, "{c:?}");
         }
-    }
-
-    #[test]
-    fn average_savings_covers_every_pair() {
-        let g = small_grid();
         let s = g.average_savings();
         assert_eq!(s.len(), BSLD_THRESHOLDS.len() * WQ_THRESHOLDS.len());
         for (cfg, saving) in &s {
-            assert!(
-                (-0.5..1.0).contains(saving),
-                "{}: saving {saving} out of plausible range",
-                cfg.label()
-            );
+            let label = cfg.label();
+            assert!((-0.5..1.0).contains(saving), "{label}: saving {saving}");
         }
         assert!(g.render_summary().contains("mean energy saving"));
+        for s in [g.render_fig3(false), g.render_fig3(true), g.render_fig4()] {
+            assert!(s.contains("CTC"));
+        }
+        assert!(g.render_fig5().contains("CTC"));
     }
 }

@@ -8,8 +8,10 @@
 
 use bsld_metrics::TextTable;
 
-use super::{cell_scenario, expect_run, fmt, write_artifact, ExpOptions};
-use crate::scenario::{self, ProfileName};
+use super::{fmt, write_artifact, ExpOptions, Row, Study};
+
+/// The study: `paper/table1.scn`.
+const FILE: &str = include_str!("../../../../paper/table1.scn");
 
 /// Paper-reported reference values for the five workloads.
 #[derive(Debug, Clone, Copy)]
@@ -24,159 +26,100 @@ pub struct PaperRow {
     pub avg_wait: f64,
 }
 
+const fn paper(name: &'static str, cpus: u32, avg_bsld: f64, avg_wait: f64) -> PaperRow {
+    PaperRow {
+        name,
+        cpus,
+        avg_bsld,
+        avg_wait,
+    }
+}
+
 /// The paper's Table 1 + Table 3 baseline column.
 pub const PAPER_BASELINES: [PaperRow; 5] = [
-    PaperRow {
-        name: "CTC",
-        cpus: 430,
-        avg_bsld: 4.66,
-        avg_wait: 7107.0,
-    },
-    PaperRow {
-        name: "SDSC",
-        cpus: 128,
-        avg_bsld: 24.91,
-        avg_wait: 36001.0,
-    },
-    PaperRow {
-        name: "SDSCBlue",
-        cpus: 1152,
-        avg_bsld: 5.15,
-        avg_wait: 4798.0,
-    },
-    PaperRow {
-        name: "LLNLThunder",
-        cpus: 4008,
-        avg_bsld: 1.0,
-        avg_wait: 0.0,
-    },
-    PaperRow {
-        name: "LLNLAtlas",
-        cpus: 9216,
-        avg_bsld: 1.08,
-        avg_wait: 69.0,
-    },
+    paper("CTC", 430, 4.66, 7107.0),
+    paper("SDSC", 128, 24.91, 36001.0),
+    paper("SDSCBlue", 1152, 5.15, 4798.0),
+    paper("LLNLThunder", 4008, 1.0, 0.0),
+    paper("LLNLAtlas", 9216, 1.08, 69.0),
 ];
 
-/// One measured row of Table 1.
-#[derive(Debug, Clone)]
-pub struct Table1Row {
-    /// Workload name.
-    pub workload: String,
-    /// Machine size.
-    pub cpus: u32,
-    /// Simulated job count.
-    pub jobs: usize,
-    /// Measured baseline average BSLD.
-    pub avg_bsld: f64,
-    /// Measured baseline average wait, seconds.
-    pub avg_wait: f64,
-    /// Measured utilisation.
-    pub utilization: f64,
-    /// The paper's reference values.
-    pub paper: PaperRow,
+/// Runs the five baselines; each cell is its own reference.
+pub fn run(opts: &ExpOptions) -> Study {
+    Study::run(&[FILE], opts, None)
 }
 
-/// The reproduced Table 1.
-#[derive(Debug, Clone)]
-pub struct Table1 {
-    /// One row per workload, paper order.
-    pub rows: Vec<Table1Row>,
+/// The rows of Table 1, each with the paper's values for its workload.
+pub fn rows(t: &Study) -> impl Iterator<Item = (Row<'_>, &'static PaperRow)> {
+    t.rows().filter_map(|r| {
+        let paper = PAPER_BASELINES.iter().find(|p| p.name == r.workload())?;
+        Some((r, paper))
+    })
 }
 
-/// Runs the five baselines (in parallel, each cell a declarative
-/// [`scenario::Scenario`]) and assembles Table 1.
-pub fn run(opts: &ExpOptions) -> Table1 {
-    let scenarios: Vec<scenario::Scenario> = ProfileName::ALL
-        .iter()
-        .map(|&p| cell_scenario(p, opts, 0, None))
-        .collect();
-    let results = scenario::run_many(&scenarios, opts.threads);
-    let rows = ProfileName::ALL
-        .iter()
-        .zip(results)
-        .zip(PAPER_BASELINES)
-        .map(|((p, res), paper)| {
-            let m = expect_run(res).run.metrics;
-            Table1Row {
-                workload: p.display_name().to_string(),
-                cpus: p.profile().cpus,
-                jobs: m.jobs,
-                avg_bsld: m.avg_bsld,
-                avg_wait: m.avg_wait_secs,
-                utilization: m.utilization,
-                paper,
-            }
+/// Renders the table with paper-vs-measured columns.
+pub fn render(t: &Study) -> String {
+    let mut table = TextTable::new(vec![
+        "Workload",
+        "#CPUs",
+        "Jobs",
+        "AvgBSLD",
+        "paper",
+        "AvgWait(s)",
+        "paper",
+        "Util",
+    ]);
+    for (r, paper) in rows(t) {
+        let m = r.metrics();
+        table.row(vec![
+            paper.name.to_string(),
+            paper.cpus.to_string(),
+            m.jobs.to_string(),
+            fmt(m.avg_bsld, 2),
+            fmt(paper.avg_bsld, 2),
+            fmt(m.avg_wait_secs, 0),
+            fmt(paper.avg_wait, 0),
+            fmt(m.utilization, 3),
+        ]);
+    }
+    format!(
+        "Table 1: workloads, baseline (EASY, no DVFS)\n{}",
+        table.render()
+    )
+}
+
+/// Writes `table1.csv`.
+pub fn write_csv(t: &Study, opts: &ExpOptions) -> std::io::Result<Option<std::path::PathBuf>> {
+    let rows: Vec<Vec<String>> = rows(t)
+        .map(|(r, paper)| {
+            let m = r.metrics();
+            vec![
+                paper.name.to_string(),
+                paper.cpus.to_string(),
+                m.jobs.to_string(),
+                fmt(m.avg_bsld, 4),
+                fmt(paper.avg_bsld, 4),
+                fmt(m.avg_wait_secs, 1),
+                fmt(paper.avg_wait, 1),
+                fmt(m.utilization, 4),
+            ]
         })
         .collect();
-    Table1 { rows }
-}
-
-impl Table1 {
-    /// Renders the table with paper-vs-measured columns.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec![
-            "Workload",
-            "#CPUs",
-            "Jobs",
-            "AvgBSLD",
-            "paper",
-            "AvgWait(s)",
-            "paper",
-            "Util",
-        ]);
-        for r in &self.rows {
-            t.row(vec![
-                r.workload.clone(),
-                r.cpus.to_string(),
-                r.jobs.to_string(),
-                fmt(r.avg_bsld, 2),
-                fmt(r.paper.avg_bsld, 2),
-                fmt(r.avg_wait, 0),
-                fmt(r.paper.avg_wait, 0),
-                fmt(r.utilization, 3),
-            ]);
-        }
-        format!(
-            "Table 1: workloads, baseline (EASY, no DVFS)\n{}",
-            t.render()
-        )
-    }
-
-    /// Writes `table1.csv`.
-    pub fn write_csv(&self, opts: &ExpOptions) -> std::io::Result<Option<std::path::PathBuf>> {
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.workload.clone(),
-                    r.cpus.to_string(),
-                    r.jobs.to_string(),
-                    fmt(r.avg_bsld, 4),
-                    fmt(r.paper.avg_bsld, 4),
-                    fmt(r.avg_wait, 1),
-                    fmt(r.paper.avg_wait, 1),
-                    fmt(r.utilization, 4),
-                ]
-            })
-            .collect();
-        write_artifact(
-            opts,
-            "table1",
-            &[
-                "workload",
-                "cpus",
-                "jobs",
-                "avg_bsld",
-                "paper_avg_bsld",
-                "avg_wait_s",
-                "paper_avg_wait_s",
-                "utilization",
-            ],
-            &rows,
-        )
-    }
+    write_artifact(
+        opts,
+        "table1",
+        &[
+            "workload",
+            "cpus",
+            "jobs",
+            "avg_bsld",
+            "paper_avg_bsld",
+            "avg_wait_s",
+            "paper_avg_wait_s",
+            "utilization",
+        ],
+        &rows,
+    )
 }
 
 #[cfg(test)]
@@ -193,12 +136,15 @@ mod tests {
     fn small_scale_table1_has_all_rows() {
         // Scaled-down smoke run: 5 workloads at 60 jobs each.
         let t = run(&ExpOptions::quick(60));
-        assert_eq!(t.rows.len(), 5);
-        for r in &t.rows {
-            assert_eq!(r.jobs, 60);
-            assert!(r.avg_bsld >= 1.0);
+        assert_eq!(rows(&t).count(), 5);
+        for (r, paper) in rows(&t) {
+            assert!(r.is_reference());
+            assert_eq!(r.metrics().jobs, 60);
+            assert!(r.metrics().avg_bsld >= 1.0);
+            let profile = crate::scenario::ProfileName::parse(paper.name).unwrap();
+            assert_eq!(profile.profile().cpus, paper.cpus);
         }
-        let text = t.render();
+        let text = render(&t);
         assert!(text.contains("CTC"));
         assert!(text.contains("LLNLAtlas"));
     }

@@ -176,8 +176,8 @@ pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 /// cells, and each cell costs a cloned scenario, a cache key and a reply
 /// row, all held at once before the reply goes out. So the daemon counts
 /// a request's cells before it expands the sweep and refuses a larger one
-/// with a structured error. 4 096 cells is 63 times the largest committed
-/// sweep (`examples/paper_grid.scn`, 65 cells), and at 140–180 reply bytes
+/// with a structured error. 4 096 cells is 58 times the largest committed
+/// sweep (`paper/enlarged.scn`, 70 cells), and at 140–180 reply bytes
 /// a cell it keeps a reply under the 1 MiB of the longest request line.
 /// Larger sweeps run through the one-shot `bsld-repro run`.
 pub const MAX_SWEEP_CELLS: usize = 4096;

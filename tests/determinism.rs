@@ -68,9 +68,11 @@ fn table1_reproducible_across_runs() {
     let opts = ExpOptions::quick(60);
     let a = table1::run(&opts);
     let b = table1::run(&opts);
-    for (ra, rb) in a.rows.iter().zip(&b.rows) {
-        assert_eq!(ra.avg_bsld.to_bits(), rb.avg_bsld.to_bits());
-        assert_eq!(ra.avg_wait.to_bits(), rb.avg_wait.to_bits());
+    assert_eq!(a.rows().count(), 5);
+    for (ra, rb) in a.rows().zip(b.rows()) {
+        let (ma, mb) = (ra.metrics(), rb.metrics());
+        assert_eq!(ma.avg_bsld.to_bits(), mb.avg_bsld.to_bits());
+        assert_eq!(ma.avg_wait_secs.to_bits(), mb.avg_wait_secs.to_bits());
     }
 }
 

@@ -1,5 +1,5 @@
 //! Integration tests: the Section 5.2 enlarged-systems claims, at reduced
-//! scale.
+//! scale (rows of the claims table in `paper_claims.rs`).
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 mod common;
@@ -86,11 +86,17 @@ fn table3_regimes_hold_at_small_scale() {
     // original size; +50 % processors deflates them below the DVFS-at-
     // original-size values.
     let s = enlarged::run(&ExpOptions::quick(120));
-    for (name, base) in &s.baselines {
-        let orig_no = s.cell(name, 0, WqThreshold::NoLimit).unwrap().avg_wait;
-        let big_no = s.cell(name, 50, WqThreshold::NoLimit).unwrap().avg_wait;
+    let mut workloads = 0;
+    for base in s.rows().filter(|r| r.is_reference()) {
+        workloads += 1;
+        let name = base.workload();
+        let wait = |size| {
+            let cell = enlarged::cell(&s, name, size, WqThreshold::NoLimit).unwrap();
+            cell.metrics().avg_wait_secs
+        };
+        let (orig_no, big_no) = (wait(0), wait(50));
         assert!(
-            orig_no + 1.0 >= base.avg_wait_secs,
+            orig_no + 1.0 >= base.metrics().avg_wait_secs,
             "{name}: DVFS should not shorten waits at original size"
         );
         assert!(
@@ -98,6 +104,7 @@ fn table3_regimes_hold_at_small_scale() {
             "{name}: +50% should cut waits: {big_no} vs {orig_no}"
         );
     }
+    assert_eq!(workloads, 5);
 }
 
 #[test]

@@ -28,13 +28,24 @@ const REQUESTS: [&str; 6] = [
     r#"{"op":"shutdown","extra":[1,-2.5e3,true,false,null,{"a":[]}]}"#,
 ];
 
-/// The committed scenario files.
-const SCN_FILES: [&str; 5] = [
+/// The committed scenario files: the examples, the golden campaign and
+/// every paper study.
+const SCN_FILES: [&str; 15] = [
     include_str!("../examples/ctc_cap.scn"),
     include_str!("../examples/campaign.scn"),
     include_str!("../examples/power_models.scn"),
-    include_str!("../examples/paper_grid.scn"),
     include_str!("golden/golden_campaign.scn"),
+    include_str!("../paper/beta.scn"),
+    include_str!("../paper/boost.scn"),
+    include_str!("../paper/enlarged.scn"),
+    include_str!("../paper/fcfs.scn"),
+    include_str!("../paper/fcfs_nobackfill.scn"),
+    include_str!("../paper/fig6.scn"),
+    include_str!("../paper/gears.scn"),
+    include_str!("../paper/grid.scn"),
+    include_str!("../paper/powercap.scn"),
+    include_str!("../paper/selection.scn"),
+    include_str!("../paper/table1.scn"),
 ];
 
 /// Every key of the scenario format (file, set, sweep-only and override

@@ -1,4 +1,5 @@
-//! Integration tests: the BSLD-threshold policy end to end.
+//! Integration tests: the BSLD-threshold policy end to end (rows of the
+//! claims table in `paper_claims.rs`).
 //!
 //! Each test pins one claim the paper makes about its algorithm's
 //! behaviour, exercised through the full simulator on calibrated (scaled)

@@ -18,9 +18,7 @@
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use bsld::cluster::{Cluster, GearSet};
 use bsld::core::experiments::{grid, powercap, ExpOptions};
-use bsld::core::scenario::{
-    PolicySpec, ProfileName, RunCtx, Scenario, ScenarioSet, SleepSpec, WorkloadSpec,
-};
+use bsld::core::scenario::{PolicySpec, ProfileName, RunCtx, Scenario, SleepSpec};
 use bsld::core::{BsldThresholdPolicy, PowerAwareConfig, WqThreshold};
 use bsld::metrics::RunMetrics;
 use bsld::model::{Job, JobOutcome};
@@ -196,94 +194,52 @@ fn grid_experiment_matches_legacy_simulator_path() {
 }
 
 #[test]
-fn paper_grid_file_matches_grid_experiment_bit_for_bit() {
-    // `examples/paper_grid.scn` is the Figs. 3–5 grid as one file. At the
-    // same jobs and seed it runs the cells `grid::run` runs, in its order:
-    // per workload the baseline (whose whole `RunMetrics` the grid keeps),
-    // then the 12 policy cells (of which it keeps every reported number).
-    let opts = ExpOptions::quick(AB_JOBS);
-    let mut set = ScenarioSet::parse(include_str!("../examples/paper_grid.scn")).unwrap();
-    if let WorkloadSpec::Synthetic { jobs, seed, .. } = &mut set.base.workload {
-        *jobs = opts.jobs;
-        *seed = opts.seed;
-    }
-    let cells = set.run(opts.threads).unwrap();
-    assert_eq!(cells.len(), 65);
-    let g = grid::run(&opts);
-    let mut grid_cells = g.cells.iter();
-    for (workload, (name, base)) in cells.chunks(13).zip(&g.baselines) {
-        let (sc, res) = &workload[0];
-        assert_eq!(sc.policy, PolicySpec::Baseline, "{}", sc.name);
-        let file_base = &res.run.metrics;
-        assert_eq!(format!("{file_base:?}"), format!("{base:?}"), "{}", sc.name);
-        for (sc, res) in &workload[1..] {
-            let cell = grid_cells.next().unwrap();
-            assert_eq!(&cell.workload, name);
-            assert_eq!(sc.policy, PolicySpec::from(cell.cfg), "{}", sc.name);
-            let m = &res.run.metrics;
-            assert_eq!(m.avg_bsld.to_bits(), cell.avg_bsld.to_bits(), "{}", sc.name);
-            assert_eq!(m.avg_wait_secs.to_bits(), cell.avg_wait.to_bits());
-            assert_eq!(m.reduced_jobs, cell.reduced_jobs);
-            assert_eq!(
-                m.energy
-                    .normalized_computational(&file_base.energy)
-                    .to_bits(),
-                cell.norm_e_comp.to_bits()
-            );
-            assert_eq!(
-                m.energy.normalized_with_idle(&file_base.energy).to_bits(),
-                cell.norm_e_idle.to_bits()
-            );
-        }
-    }
-    assert!(grid_cells.next().is_none());
-}
-
-#[test]
 fn powercap_experiment_matches_legacy_simulator_path() {
     // The Scenario-driven power-cap sweep vs the hand-wired reference
     // (engine + PowerCapPolicy hook): ledger energy, series and counters
     // must agree to the bit.
     let opts = ExpOptions::quick(AB_JOBS);
     let sweep = powercap::run(&opts);
-    for b in &sweep.baselines {
-        let w = reference_profile(&b.workload).generate(opts.seed, opts.jobs);
-        let (_, metrics, power) =
+    let mut baselines = 0;
+    for row in sweep.rows() {
+        let w = reference_profile(row.workload()).generate(opts.seed, opts.jobs);
+        let (_, base_metrics, base_power) =
             Reference::paper(&w).run_capped(&w.jobs, None, None, SleepConfig::none());
-        assert_eq!(b.energy.to_bits(), power.energy.to_bits(), "{}", b.workload);
-        assert_eq!(b.avg_bsld.to_bits(), metrics.avg_bsld.to_bits());
-    }
-    for cell in &sweep.cells {
-        let w = reference_profile(&cell.workload).generate(opts.seed, opts.jobs);
-        let cfg = PowerAwareConfig {
-            bsld_threshold: cell.bsld_threshold,
-            wq_threshold: WqThreshold::NoLimit,
-        };
+        let reference = powercap::power(row.reference);
+        assert_eq!(reference.energy.to_bits(), base_power.energy.to_bits());
+        assert_eq!(
+            row.reference.run.metrics.avg_bsld.to_bits(),
+            base_metrics.avg_bsld.to_bits(),
+            "{}",
+            row.workload()
+        );
+        if row.is_reference() {
+            baselines += 1;
+            continue;
+        }
+        let cap = row.cell.power.cap_fraction.unwrap();
+        let cfg = row.config().unwrap();
+        assert_eq!(cfg.wq_threshold, WqThreshold::NoLimit);
         let (_, metrics, power) = Reference::paper(&w).run_capped(
             &w.jobs,
             Some(cfg),
-            Some(cell.cap_fraction),
+            Some(cap),
             SleepConfig::paper_default(),
         );
-        let base_energy = sweep
-            .baselines
-            .iter()
-            .find(|b| b.workload == cell.workload)
-            .unwrap()
-            .energy;
         assert_eq!(
-            cell.norm_energy.to_bits(),
-            (power.energy / base_energy).to_bits(),
-            "{} cap {} th {}",
-            cell.workload,
-            cell.cap_fraction,
-            cell.bsld_threshold
+            powercap::norm_energy(&row).to_bits(),
+            (power.energy / base_power.energy).to_bits(),
+            "{} cap {cap} th {}",
+            row.workload(),
+            cfg.bsld_threshold
         );
-        assert_eq!(cell.avg_bsld.to_bits(), metrics.avg_bsld.to_bits());
-        assert_eq!(cell.deferrals, power.cap.deferrals);
-        assert_eq!(cell.downgears, power.cap.downgears);
-        assert_eq!(cell.wakes, power.sleep.wakes);
+        let cell = powercap::power(row.result);
+        assert_eq!(row.metrics().avg_bsld.to_bits(), metrics.avg_bsld.to_bits());
+        assert_eq!(cell.cap.deferrals, power.cap.deferrals);
+        assert_eq!(cell.cap.downgears, power.cap.downgears);
+        assert_eq!(cell.sleep.wakes, power.sleep.wakes);
     }
+    assert_eq!(baselines, 5);
 }
 
 #[test]
