@@ -567,9 +567,9 @@ fn run_campaign_file(path: &str, set: &ScenarioSet, args: &Args) -> Result<(), S
             None => ", in memory (no --resume dir, no out_dir: nothing cached)".into(),
         }
     );
-    // The status line: workers tick the shared Progress counter; each tick
-    // redraws in place (\r) on stderr via StatusLine, the final newline
-    // lands after the run.
+    // The status line: workers tick the shared Progress counter and each
+    // tick goes to StatusLine, which redraws in place on a terminal and
+    // otherwise prints the last count once the run ends.
     let line = bsld_par::StatusLine::new("campaign");
     let status = |done: usize, total: usize| line.update(done, total);
     let outcome = run_campaign(set, &opts, Some(&status)).map_err(|e| e.to_string())?;

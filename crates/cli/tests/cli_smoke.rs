@@ -471,6 +471,54 @@ fn campaign_worker_and_merge_reproduce_single_process_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Off a terminal the campaign status line never redraws: piped stderr
+/// holds no `\r` and one final count, for a campaign and a worker shard.
+#[test]
+fn status_line_off_a_terminal_prints_one_final_count() {
+    let dir = fresh_dir("status_line");
+    let scn = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/campaign.scn");
+    let shared = dir.join("shared");
+    let shared = shared.to_str().unwrap();
+    for (label, args) in [
+        ("campaign", vec!["run", scn, "--jobs", "40", "--no-csv"]),
+        (
+            "worker 1",
+            vec![
+                "campaign-worker",
+                scn,
+                "--jobs",
+                "40",
+                "--shard",
+                "1/2",
+                "--out",
+                shared,
+            ],
+        ),
+    ] {
+        let out = bin()
+            .args(&args)
+            .current_dir(&dir)
+            .stderr(Stdio::piped())
+            .output()
+            .unwrap();
+        let err = stderr(&out);
+        assert!(out.status.success(), "{label}: {err}");
+        assert!(
+            !out.stderr.contains(&b'\r'),
+            "{label} redrew off a terminal: {err:?}"
+        );
+        let prefix = format!("# {label}: ");
+        let counts: Vec<&str> = err
+            .lines()
+            .filter_map(|l| l.strip_prefix(&prefix)?.strip_suffix(" runs"))
+            .collect();
+        assert_eq!(counts.len(), 1, "{label}: one count line expected: {err}");
+        let (done, total) = counts[0].split_once('/').unwrap();
+        assert_eq!(done, total, "{label}: the final count: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn campaign_worker_flag_validation() {
     let dir = std::env::temp_dir().join(format!("bsld_cli_wflags_{}", std::process::id()));

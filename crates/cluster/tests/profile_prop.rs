@@ -71,8 +71,8 @@ fn sample() -> Profile {
     b.build()
 }
 
-/// Exhaustively compares the indexed queries against the linear scans
-/// over a staircase profile with dips, across a grid of probe points,
+/// Exhaustively compares the queries against the oracles' scans over a
+/// staircase profile with dips, across a grid of probe points,
 /// sizes and durations (including dur = 0 and u64::MAX).
 #[test]
 fn indexed_queries_match_linear_oracles() {
@@ -154,6 +154,36 @@ fn arb_commits() -> impl Strategy<Value = Vec<(u64, u64, u32)>> {
     proptest::collection::vec((0u64..12_000, 1u64..8_000, 1u32..TOTAL), 0..12)
 }
 
+/// A sequence of mutations: `(kind, offset, dur, cpus)`. Kinds 0 and 1
+/// try to commit `cpus` for `dur` from `origin + offset`, kind 2 releases
+/// what is left of an earlier successful commit and kind 3 advances the
+/// origin by `offset / 4`: the calls the engine's in-place profile
+/// updates make.
+fn arb_mutations() -> impl Strategy<Value = Vec<(u8, u64, u64, u32)>> {
+    proptest::collection::vec((0u8..4, 0u64..12_000, 1u64..8_000, 1u32..TOTAL), 0..16)
+}
+
+/// Applies [`arb_mutations`] to `p`.
+fn mutate(p: &mut Profile, mutations: &[(u8, u64, u64, u32)]) {
+    let mut committed: Vec<(Time, Time, u32)> = Vec::new();
+    for &(kind, offset, dur, cpus) in mutations {
+        match kind {
+            0 | 1 => {
+                let start = p.origin() + offset;
+                let end = start.saturating_add(dur);
+                if p.commit(start, end, cpus).is_ok() {
+                    committed.push((start, end, cpus));
+                }
+            }
+            2 if !committed.is_empty() => {
+                let (start, end, cpus) = committed.remove(offset as usize % committed.len());
+                p.release_over(start.max(p.origin()), end, cpus).unwrap();
+            }
+            _ => p.advance_origin(p.origin() + offset / 4),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -228,21 +258,18 @@ proptest! {
         prop_assert_eq!(p.min_available(start, dur), expected);
     }
 
-    /// The O(log n) indexed queries agree with the linear scans on
-    /// profiles shaped by random commitment sequences — the A/B oracle for
-    /// the segment-tree rework, probing every segment boundary (± 1) plus
-    /// random offsets, with degenerate durations included.
+    /// The queries agree with the oracles on profiles shaped by random
+    /// commits, releases and origin advances, probing every segment
+    /// boundary (± 1) plus random offsets, with degenerate durations
+    /// included.
     #[test]
     fn indexed_queries_match_linear_oracle(
         p in arb_profile(),
-        commits in arb_commits(),
+        mutations in arb_mutations(),
         probes in proptest::collection::vec((0u64..16_000, 0u64..10_000, 0u32..=TOTAL + 1), 1..24),
     ) {
         let mut p = p;
-        for (start, dur, cpus) in commits {
-            let end = Time(start.saturating_add(dur));
-            let _ = p.commit(Time(start), end, cpus);
-        }
+        mutate(&mut p, &mutations);
         p.check_invariants().map_err(TestCaseError::fail)?;
         let mut starts: Vec<u64> = p.segments().iter().map(|&(t, _)| t.as_secs()).collect();
         starts.extend(probes.iter().map(|&(t, _, _)| t));
@@ -262,6 +289,11 @@ proptest! {
                         p.earliest_fit(cpus, d, Time(t)),
                         earliest_fit_linear(&p, cpus, d, Time(t)),
                         "earliest_fit cpus={} dur={} not_before={}", cpus, d, t
+                    );
+                    prop_assert_eq!(
+                        p.can_fit(Time(t), cpus, d),
+                        cpus <= p.total() && min_available_linear(&p, Time(t), d) >= cpus,
+                        "can_fit cpus={} dur={} start={}", cpus, d, t
                     );
                 }
             }

@@ -21,8 +21,9 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp))]
+use std::io::IsTerminal;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Number of worker threads [`par_map`] uses by default: the available
@@ -149,13 +150,21 @@ impl Progress {
     }
 }
 
-/// The one way progress is shown to a terminal: a `\r`-rewritten counter
+/// The one way progress is shown: a `# label: done/total runs` counter
 /// on **stderr**, so piped or captured stdout (CSV tables, JSON replies)
-/// stays clean. Every campaign/worker/daemon status line routes through
-/// this type rather than printing ad hoc.
-#[derive(Debug, Clone)]
+/// stays clean. On a terminal each update redraws the line in place
+/// (`\r`); anywhere else updates only record the count and
+/// [`StatusLine::finish`] prints the last one once, so a log holds one
+/// line instead of one `\r`-joined record per unit. Every
+/// campaign/worker status line routes through this type rather than
+/// printing ad hoc.
+#[derive(Debug)]
 pub struct StatusLine {
     label: String,
+    redraw: bool,
+    /// The highest `(done, total)` reported so far: updates arrive from
+    /// worker threads, not always in order.
+    last: Mutex<Option<(usize, usize)>>,
 }
 
 impl StatusLine {
@@ -163,17 +172,36 @@ impl StatusLine {
     pub fn new(label: impl Into<String>) -> StatusLine {
         StatusLine {
             label: label.into(),
+            redraw: std::io::stderr().is_terminal(),
+            last: Mutex::new(None),
         }
     }
 
-    /// Rewrites the line in place: `# label: done/total runs`.
+    /// Reports `done` of `total` units: redraws the line on a terminal,
+    /// otherwise keeps the count for [`StatusLine::finish`].
     pub fn update(&self, done: usize, total: usize) {
-        eprint!("\r# {}: {done}/{total} runs", self.label);
+        if self.redraw {
+            eprint!("\r# {}: {done}/{total} runs", self.label);
+            return;
+        }
+        // Each update is one assignment, so a poisoned lock still holds
+        // a valid count.
+        let mut last = self.last.lock().unwrap_or_else(PoisonError::into_inner);
+        if last.is_none_or(|(d, _)| d <= done) {
+            *last = Some((done, total));
+        }
     }
 
-    /// Terminates the rewritten line so subsequent output starts fresh.
+    /// Ends the status: terminates the redrawn line, or prints the last
+    /// count reported.
     pub fn finish(&self) {
-        eprintln!();
+        if self.redraw {
+            eprintln!();
+        } else if let Some((done, total)) =
+            *self.last.lock().unwrap_or_else(PoisonError::into_inner)
+        {
+            eprintln!("# {}: {done}/{total} runs", self.label);
+        }
     }
 }
 

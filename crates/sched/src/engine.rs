@@ -946,10 +946,21 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
 
     /// Debug-build parity check: the incrementally maintained committed
     /// profile must be extensionally equal (for `t >= now`) to a fresh
-    /// rebuild plus the cached reservation.
+    /// rebuild plus the cached reservation, and no longer than that
+    /// rebuild can be: the origin, one step per distinct requested end and
+    /// the reservation's two edges. The profile's queries scan its
+    /// segments, so this bound keeps them O(running jobs), never
+    /// O(history).
     #[cfg(debug_assertions)]
     fn debug_check_profile(&self) {
         let Some(c) = &self.cache else { return };
+        debug_assert!(
+            self.profile.segments().len() <= self.end_index.len() + 3,
+            "committed profile has {} segments for {} distinct requested ends: {:?}",
+            self.profile.segments().len(),
+            self.end_index.len(),
+            self.profile.segments(),
+        );
         let mut b = ProfileBuilder::new(self.now, self.pool.total(), self.pool.free_count());
         let floor = self.now + 1;
         for (&t, &cpus) in &self.end_index {
