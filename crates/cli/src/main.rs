@@ -229,6 +229,13 @@ impl Args {
     }
 }
 
+/// Whether `command` reads flag `f`.
+fn reads(f: &Flag, command: &str) -> bool {
+    let is_experiment = EXPERIMENTS.contains(&command);
+    let reader = |r: &str| r == command || (r == "experiments" && is_experiment);
+    f.readers.split(' ').any(reader)
+}
+
 /// Parses the command line against [`FLAGS`] and [`TOOLS`]. `Ok(None)`:
 /// `--help` was given (print usage, exit 0).
 fn parse_args(raw: &[String]) -> Result<Option<Args>, String> {
@@ -275,8 +282,7 @@ fn parse_args(raw: &[String]) -> Result<Option<Args>, String> {
         ));
     }
     for (f, _) in &flags {
-        let reads = |r: &str| r == command || (r == "experiments" && is_experiment);
-        if !f.readers.split(' ').any(reads) {
+        if !reads(f, &command) {
             return Err(format!(
                 "{} only applies to {}\n{}",
                 f.name,
@@ -1017,10 +1023,7 @@ fn main() -> ExitCode {
 
 fn run_command(args: &Args) -> Result<(), String> {
     let opts = &args.opts;
-    eprintln!(
-        "# bsld-repro: {} (jobs={}, seed={}, threads={})",
-        args.command, opts.jobs, opts.seed, opts.threads
-    );
+    eprintln!("# bsld-repro: {}{}", args.command, header_values(args));
     let t0 = std::time::Instant::now();
     match args.command.as_str() {
         "run" => run_scenario_file(args)?,
@@ -1034,6 +1037,34 @@ fn run_command(args: &Args) -> Result<(), String> {
     }
     eprintln!("# done in {:.2?}", t0.elapsed());
     Ok(())
+}
+
+/// The ` (jobs=…, seed=…, threads=…)` of the header line: the values of
+/// `--jobs`, `--seed` and `--threads` that the command uses. `run` and
+/// `campaign-worker` use `--jobs` and `--seed` only when given; otherwise
+/// the scenario file's own values apply.
+fn header_values(args: &Args) -> String {
+    let opts = &args.opts;
+    let file_sets = matches!(args.command.as_str(), "run" | "campaign-worker");
+    let values = [
+        ("--jobs", opts.jobs.to_string()),
+        ("--seed", opts.seed.to_string()),
+        ("--threads", opts.threads.to_string()),
+    ];
+    let used: Vec<String> = values
+        .iter()
+        .filter(|(name, _)| {
+            FLAGS
+                .iter()
+                .any(|f| f.name == *name && reads(f, &args.command))
+        })
+        .filter(|(name, _)| *name == "--threads" || !file_sets || args.given(name))
+        .map(|(name, v)| format!("{}={v}", &name[2..]))
+        .collect();
+    if used.is_empty() {
+        return String::new();
+    }
+    format!(" ({})", used.join(", "))
 }
 
 /// Runs one experiment and prints it. Each study has one printer, which

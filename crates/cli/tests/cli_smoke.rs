@@ -312,6 +312,51 @@ fn flags_outside_their_subcommands_are_errors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The `# bsld-repro:` header states only the values the command uses: a
+/// scenario file's own `jobs` and `seed` are not overridden by the flag
+/// defaults, and commands that read neither print neither.
+#[test]
+fn header_states_only_the_values_the_command_uses() {
+    let dir = fresh_dir("header");
+    let scn = dir.join("own.scn");
+    std::fs::write(
+        &scn,
+        "workload = synthetic\nprofile = ctc\njobs = 60\nseed = 7\n",
+    )
+    .unwrap();
+    let scn = scn.to_str().unwrap();
+    let header = |args: &[&str]| {
+        let err = stderr(&run(args));
+        err.lines().next().unwrap_or_default().to_string()
+    };
+    let file = header(&["run", scn, "--no-csv", "--threads", "1"]);
+    assert_eq!(file, "# bsld-repro: run (threads=1)");
+    let given = header(&["run", scn, "--no-csv", "--jobs", "40", "--threads", "1"]);
+    assert_eq!(given, "# bsld-repro: run (jobs=40, threads=1)");
+    let worker = header(&[
+        "campaign-worker",
+        scn,
+        "--shard",
+        "0/2",
+        "--seed",
+        "9",
+        "--threads",
+        "1",
+        "--out",
+        dir.join("w").to_str().unwrap(),
+    ]);
+    assert_eq!(worker, "# bsld-repro: campaign-worker (seed=9, threads=1)");
+    let missing = dir.join("missing.json");
+    let summary = header(&["trace-summary", missing.to_str().unwrap()]);
+    assert_eq!(summary, "# bsld-repro: trace-summary");
+    let experiment = header(&["table1", "--jobs", "60", "--no-csv", "--threads", "1"]);
+    assert_eq!(
+        experiment,
+        "# bsld-repro: table1 (jobs=60, seed=2010, threads=1)"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn run_subcommand_executes_scenario_file() {
     let dir = std::env::temp_dir().join(format!("bsld_cli_smoke_{}", std::process::id()));

@@ -5,6 +5,17 @@
 //! processor occupancy in a bitset (one bit per processor, set = free) and
 //! hands out allocations as sorted, disjoint index ranges ([`ProcSet`]),
 //! which stay compact because First Fit naturally produces long runs.
+//!
+//! # Cost per call
+//!
+//! Every call works a 64-bit word at a time: First Fit (Last Fit) takes
+//! whole words from the bottom (top) and the lowest (highest) bits it still
+//! needs of the last one, `release` sets one mask per word a range covers,
+//! and the contiguous search steps over the runs of free bits of each word.
+//! So a call costs the words it touches plus the ranges it pushes, not one
+//! step per processor: at 5 000 jobs a job asks on average for 42 CPUs on
+//! CTC, 14 on SDSC, 232 on SDSC-Blue, 81 on Thunder and 954 on Atlas (9 216
+//! CPUs, 144 words).
 
 /// A set of processor indices, stored as sorted, disjoint, non-adjacent
 /// `[start, start+len)` ranges.
@@ -19,16 +30,6 @@ impl ProcSet {
         ProcSet { ranges: Vec::new() }
     }
 
-    /// Creates a set holding the single range `[start, start+len)`.
-    pub fn from_range(start: u32, len: u32) -> Self {
-        if len == 0 {
-            return ProcSet::new();
-        }
-        ProcSet {
-            ranges: vec![(start, len)],
-        }
-    }
-
     /// Number of processors in the set.
     pub fn count(&self) -> u32 {
         self.ranges.iter().map(|&(_, l)| l).sum()
@@ -39,25 +40,25 @@ impl ProcSet {
         self.ranges.is_empty()
     }
 
-    /// Appends a processor index; indices must be pushed in increasing
-    /// order (the pool's First Fit scan guarantees this).
-    fn push(&mut self, idx: u32) {
-        if let Some(last) = self.ranges.last_mut() {
-            debug_assert!(
-                idx >= last.0 + last.1,
-                "ProcSet::push requires increasing indices"
-            );
-            if idx == last.0 + last.1 {
-                last.1 += 1;
-                return;
+    /// Appends the free bits `bits` of word `w`, one range per run, each
+    /// merged into the last range when they touch; words must be pushed in
+    /// increasing order.
+    fn push_word(&mut self, w: usize, bits: u64) {
+        let base = w as u32 * 64;
+        for (start, len) in runs(bits) {
+            let start = base + start;
+            if let Some(last) = self.ranges.last_mut() {
+                debug_assert!(
+                    start >= last.0 + last.1,
+                    "ProcSet::push_word requires increasing words"
+                );
+                if start == last.0 + last.1 {
+                    last.1 += len;
+                    continue;
+                }
             }
+            self.ranges.push((start, len));
         }
-        self.ranges.push((idx, 1));
-    }
-
-    /// Iterates the contained indices in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.ranges.iter().flat_map(|&(s, l)| s..s + l)
     }
 
     /// The ranges `(start, len)` making up the set.
@@ -65,42 +66,55 @@ impl ProcSet {
         &self.ranges
     }
 
-    /// Whether the set contains `idx`.
-    pub fn contains(&self, idx: u32) -> bool {
-        self.ranges
-            .binary_search_by(|&(s, l)| {
-                if idx < s {
-                    std::cmp::Ordering::Greater
-                } else if idx >= s + l {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            })
-            .is_ok()
-    }
-
-    /// Whether the two sets share any processor.
-    pub fn intersects(&self, other: &ProcSet) -> bool {
-        let (mut i, mut j) = (0, 0);
-        while i < self.ranges.len() && j < other.ranges.len() {
-            let (s1, l1) = self.ranges[i];
-            let (s2, l2) = other.ranges[j];
-            if s1 + l1 <= s2 {
-                i += 1;
-            } else if s2 + l2 <= s1 {
-                j += 1;
-            } else {
-                return true;
-            }
-        }
-        false
-    }
-
     /// The smallest index in the set, if any.
     pub fn first(&self) -> Option<u32> {
         self.ranges.first().map(|&(s, _)| s)
     }
+}
+
+/// The runs of set bits of `bits`, lowest first, as `(start, len)`.
+fn runs(mut bits: u64) -> impl Iterator<Item = (u32, u32)> {
+    std::iter::from_fn(move || {
+        let start = bits.trailing_zeros();
+        if start == 64 {
+            return None;
+        }
+        let len = (bits >> start).trailing_ones();
+        // Adding the run's lowest bit carries through the run, clearing it.
+        bits &= bits.wrapping_add(1 << start);
+        Some((start, len))
+    })
+}
+
+/// The bits below bit `k` (`k <= 64`).
+fn low_bits(k: u32) -> u64 {
+    u64::MAX.checked_shr(64 - k).unwrap_or(0)
+}
+
+/// The lowest `k` set bits of `word` (`k <= word.count_ones()`): the bits
+/// below the narrowest width holding `k` of them, found by binary search.
+fn lowest_set_bits(word: u64, k: u32) -> u64 {
+    let (mut lo, mut hi) = (0, 64);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if (word & low_bits(mid)).count_ones() >= k {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    word & low_bits(lo)
+}
+
+/// The words `[start, start+len)` covers, each with the mask of its bits
+/// in the range.
+fn word_masks(start: u32, len: u32) -> impl Iterator<Item = (usize, u64)> {
+    let end = start + len;
+    (start / 64..end.div_ceil(64)).map(move |w| {
+        let base = w * 64;
+        let mask = low_bits((end - base).min(64)) & !low_bits(start.saturating_sub(base));
+        (w as usize, mask)
+    })
 }
 
 /// How processors are picked for a job once it is cleared to start.
@@ -139,10 +153,7 @@ impl ProcessorPool {
         let nwords = (total as usize).div_ceil(64);
         let mut words = vec![u64::MAX; nwords];
         // Clear the bits beyond `total` in the last word.
-        let tail = total as usize % 64;
-        if tail != 0 {
-            words[nwords - 1] = (1u64 << tail) - 1;
-        }
+        words[nwords - 1] = low_bits(total - (nwords as u32 - 1) * 64);
         ProcessorPool {
             words,
             total,
@@ -162,36 +173,29 @@ impl ProcessorPool {
         self.free
     }
 
-    /// Whether processor `idx` is free.
-    pub fn is_free(&self, idx: u32) -> bool {
-        debug_assert!(idx < self.total);
-        self.words[idx as usize / 64] & (1 << (idx % 64)) != 0
-    }
-
     /// Allocates the `n` lowest-indexed free processors (First Fit),
     /// or returns `None` (changing nothing) if fewer than `n` are free.
     pub fn allocate_first_fit(&mut self, n: u32) -> Option<ProcSet> {
         if n > self.free {
             return None;
         }
-        if n == 0 {
-            return Some(ProcSet::new());
-        }
         let mut set = ProcSet::new();
         let mut remaining = n;
         for (w, word) in self.words.iter_mut().enumerate() {
-            while *word != 0 && remaining > 0 {
-                let bit = word.trailing_zeros();
-                let idx = (w * 64) as u32 + bit;
-                *word &= !(1u64 << bit);
-                set.push(idx);
-                remaining -= 1;
-            }
             if remaining == 0 {
                 break;
             }
+            let free = word.count_ones();
+            let take = if free <= remaining {
+                *word
+            } else {
+                lowest_set_bits(*word, remaining)
+            };
+            *word &= !take;
+            remaining -= free.min(remaining);
+            set.push_word(w, take);
         }
-        debug_assert_eq!(remaining, 0, "free count said {} were available", n);
+        debug_assert_eq!(remaining, 0, "free count said {n} were available");
         self.free -= n;
         Some(set)
     }
@@ -217,27 +221,14 @@ impl ProcessorPool {
         if n == 0 {
             return Some(ProcSet::new());
         }
-        // Scan maximal runs of set bits across word boundaries.
-        let mut run_start = 0u32;
-        let mut run_len = 0u32;
-        for idx in 0..self.total {
-            if self.words[idx as usize / 64] & (1 << (idx % 64)) != 0 {
-                if run_len == 0 {
-                    run_start = idx;
-                }
-                run_len += 1;
-                if run_len == n {
-                    for i in run_start..run_start + n {
-                        self.words[i as usize / 64] &= !(1u64 << (i % 64));
-                    }
-                    self.free -= n;
-                    return Some(ProcSet::from_range(run_start, n));
-                }
-            } else {
-                run_len = 0;
-            }
+        let start = self.first_run(n)?;
+        for (w, mask) in word_masks(start, n) {
+            self.words[w] &= !mask;
         }
-        None
+        self.free -= n;
+        Some(ProcSet {
+            ranges: vec![(start, n)],
+        })
     }
 
     /// Allocates the `n` highest-indexed free processors.
@@ -245,31 +236,52 @@ impl ProcessorPool {
         if n > self.free {
             return None;
         }
-        if n == 0 {
-            return Some(ProcSet::new());
+        // From the top word down, find the lowest word the request reaches
+        // and how many of its free bits it takes: its highest `part`.
+        let (mut low, mut part) = (self.words.len(), n);
+        while part > 0 {
+            low -= 1;
+            let free = self.words[low].count_ones();
+            if free >= part {
+                break;
+            }
+            part -= free;
         }
-        let mut picked: Vec<u32> = Vec::with_capacity(n as usize);
-        let mut remaining = n;
-        'outer: for w in (0..self.words.len()).rev() {
-            while self.words[w] != 0 {
-                let bit = 63 - self.words[w].leading_zeros();
-                let idx = (w * 64) as u32 + bit;
-                self.words[w] &= !(1u64 << bit);
-                picked.push(idx);
-                remaining -= 1;
-                if remaining == 0 {
-                    break 'outer;
+        let mut set = ProcSet::new();
+        for w in low..self.words.len() {
+            let word = self.words[w];
+            let take = if w == low {
+                word & !lowest_set_bits(word, word.count_ones() - part)
+            } else {
+                word
+            };
+            self.words[w] &= !take;
+            set.push_word(w, take);
+        }
+        self.free -= n;
+        Some(set)
+    }
+
+    /// Start of the lowest run of `n > 0` consecutive free processors: the
+    /// runs of each word in turn, the run open at a word's top edge joined
+    /// to the one at the next word's bottom.
+    fn first_run(&self, n: u32) -> Option<u32> {
+        let (mut start, mut len) = (0, 0); // the run open at the last bit seen
+        for (w, &word) in self.words.iter().enumerate() {
+            for (s, l) in runs(word) {
+                if s > 0 || len == 0 {
+                    (start, len) = (w as u32 * 64 + s, 0);
+                }
+                len += l;
+                if len >= n {
+                    return Some(start);
                 }
             }
+            if word >> 63 == 0 {
+                len = 0;
+            }
         }
-        debug_assert_eq!(remaining, 0);
-        self.free -= n;
-        picked.reverse(); // ProcSet::push requires increasing indices
-        let mut set = ProcSet::new();
-        for idx in picked {
-            set.push(idx);
-        }
-        Some(set)
+        None
     }
 
     /// Whether `policy` could serve a request for `n` processors *right
@@ -280,23 +292,7 @@ impl ProcessorPool {
         }
         match policy {
             SelectionPolicy::FirstFit | SelectionPolicy::LastFit => true,
-            SelectionPolicy::ContiguousFirstFit => {
-                if n == 0 {
-                    return true;
-                }
-                let mut run = 0u32;
-                for idx in 0..self.total {
-                    if self.words[idx as usize / 64] & (1 << (idx % 64)) != 0 {
-                        run += 1;
-                        if run == n {
-                            return true;
-                        }
-                    } else {
-                        run = 0;
-                    }
-                }
-                false
-            }
+            SelectionPolicy::ContiguousFirstFit => n == 0 || self.first_run(n).is_some(),
         }
     }
 
@@ -307,14 +303,15 @@ impl ProcessorPool {
     /// that would mean double-release, a scheduler bug.
     pub fn release(&mut self, set: &ProcSet) {
         for &(start, len) in set.ranges() {
-            for idx in start..start + len {
-                let (w, b) = (idx as usize / 64, idx % 64);
+            for (w, mask) in word_masks(start, len) {
+                let already = self.words[w] & mask;
                 debug_assert_eq!(
-                    self.words[w] & (1 << b),
+                    already,
                     0,
-                    "double release of processor {idx}"
+                    "double release of processor {}",
+                    w as u32 * 64 + already.trailing_zeros()
                 );
-                self.words[w] |= 1 << b;
+                self.words[w] |= mask;
             }
         }
         self.free += set.count();
@@ -329,43 +326,12 @@ mod tests {
     #[test]
     fn procset_ranges_compact() {
         let mut s = ProcSet::new();
-        for i in [0u32, 1, 2, 5, 6, 9] {
-            s.push(i);
-        }
-        assert_eq!(s.ranges(), &[(0, 3), (5, 2), (9, 1)]);
-        assert_eq!(s.count(), 6);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 1, 2, 5, 6, 9]);
+        s.push_word(0, 0b10_0110_0111 | 1 << 63);
+        s.push_word(1, 0b11);
+        s.push_word(3, 1);
+        assert_eq!(s.ranges(), &[(0, 3), (5, 2), (9, 1), (63, 3), (192, 1)]);
+        assert_eq!(s.count(), 10);
         assert_eq!(s.first(), Some(0));
-    }
-
-    #[test]
-    fn procset_contains() {
-        let s = ProcSet {
-            ranges: vec![(2, 3), (10, 1)],
-        };
-        for i in [2, 3, 4, 10] {
-            assert!(s.contains(i), "{i}");
-        }
-        for i in [0, 1, 5, 9, 11] {
-            assert!(!s.contains(i), "{i}");
-        }
-    }
-
-    #[test]
-    fn procset_intersects() {
-        let a = ProcSet {
-            ranges: vec![(0, 4)],
-        };
-        let b = ProcSet {
-            ranges: vec![(4, 4)],
-        };
-        let c = ProcSet {
-            ranges: vec![(3, 1)],
-        };
-        assert!(!a.intersects(&b));
-        assert!(a.intersects(&c));
-        assert!(!b.intersects(&c));
-        assert!(!a.intersects(&ProcSet::new()));
     }
 
     #[test]
@@ -478,9 +444,11 @@ mod tests {
         let b = p.allocate_last_fit(66).unwrap();
         assert_eq!(b.ranges(), &[(1, 66)]);
         assert_eq!(p.free_count(), 1);
-        assert!(p.is_free(0));
+        let c = p.allocate_first_fit(1).unwrap();
+        assert_eq!(c.ranges(), &[(0, 1)], "processor 0 was the one left free");
         p.release(&a);
         p.release(&b);
+        p.release(&c);
         assert_eq!(p.free_count(), 70);
     }
 
@@ -528,7 +496,11 @@ mod tests {
                 if let Some(s) = p.allocate_first_fit(n) {
                     // No overlap with anything currently held.
                     for h in &held {
-                        assert!(!h.intersects(&s));
+                        for &(a, la) in h.ranges() {
+                            for &(b, lb) in s.ranges() {
+                                assert!(a + la <= b || b + lb <= a);
+                            }
+                        }
                     }
                     held.push(s);
                 }
